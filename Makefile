@@ -44,11 +44,18 @@
 #                 bounds at full size → BENCH_cluster.json
 #   make examples — build and run every examples/ program (all are
 #                 clients of the public faqs façade; wired into CI)
-#   make lint   — faqlint, the repo's static-analysis suite
-#                 (internal/lint): seven analyzers compiling the standing
-#                 contracts — facade, nopanic, mapiter, ctxflow,
-#                 hotpath, failpoint, metricreg — into build failures; zero
-#                 unsuppressed findings required (part of `make check`)
+#   make lint   — a gofmt gate (every .go file formatted, the perfbench
+#                 module included), then faqlint, the repo's
+#                 static-analysis suite (internal/lint): seven analyzers
+#                 compiling the standing contracts — facade, nopanic,
+#                 mapiter, ctxflow, hotpath, failpoint, metricreg — into
+#                 build failures; zero unsuppressed findings required
+#                 (part of `make check`)
+#   make bench-selfcheck — vet and self-test the perfbench module (its
+#                 own go.mod, so root `go build ./...` never compiles it
+#                 against internal/faq, internal/cluster, internal/plan):
+#                 every workload × trace at tiny sizes (~12 s; part of
+#                 `make check`)
 #   make vet-imports — alias for the facade analyzer alone (the former
 #                 shell-grep target; the faqbench/faqload/ghdtool
 #                 allowlist now lives in internal/lint/facade.go)
@@ -75,7 +82,7 @@ WORKERADDR3 ?= 127.0.0.1:18093
 # The packages holding the parallel≡sequential equivalence suites.
 WORKER_PKGS = ./internal/relation/ ./internal/protocol/ ./internal/faq/ ./internal/exec/ ./internal/flow/ ./internal/plan/ ./internal/service/ ./internal/delta/ ./internal/delta/churn/ ./faqs/
 
-.PHONY: build test vet lint vet-imports race check chaos bench bench-parallel bench-incremental bench-cluster bench-all fuzz test-workers bench-service smoke-service smoke-metrics smoke-cluster examples
+.PHONY: build test vet lint vet-imports race check chaos bench-selfcheck bench bench-parallel bench-incremental bench-cluster bench-all fuzz test-workers bench-service smoke-service smoke-metrics smoke-cluster examples
 
 # The packages holding chaos (failpoint-sweep) TestChaos* suites: the
 # serving path, the incremental-maintenance engine, the kernels, the
@@ -99,6 +106,9 @@ vet:
 	$(GO) vet ./...
 
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/faqlint ./...
 
 # Alias for the retired shell-grep target: same contract, now enforced
@@ -109,7 +119,10 @@ vet-imports:
 race:
 	$(GO) test -race ./...
 
-check: build vet lint test chaos smoke-metrics smoke-cluster
+check: build vet lint test bench-selfcheck chaos smoke-metrics smoke-cluster
+
+bench-selfcheck:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 chaos:
 	FAQ_WORKERS=1 $(GO) test -race -count=1 -run '^TestChaos' $(CHAOS_PKGS)

@@ -18,7 +18,7 @@ package main
 //     costs — PR 2's atomic-node accounting, conservative in that it
 //     treats each node task as indivisible.
 //   - sim_speedup_shaped: total work / exec.MakespanShaped over the
-//     shapes measured by a sequential SolveOnGHDShaped run, which
+//     shapes measured by a sequential shaped SolveGHD run, which
 //     additionally records how much of each node's cost was spent in
 //     kernels that partition across workers (exec.Divisible regions) and
 //     replays that portion as parallel chunks. Like internal/netsim's
@@ -185,10 +185,11 @@ func runParallelBench(name string, n, arms, reps int, workerCounts []int) (paral
 	var shapes []exec.TaskShape
 	var costs []int64
 	for rep := 0; rep < reps; rep++ {
-		ans, sh, err := faq.SolveOnGHDShaped(q, g)
+		ans, m, err := faq.SolveGHD(nil, q, g, faq.SolveOptions{Shaped: true})
 		if err != nil {
 			return bench, err
 		}
+		sh := m.Shapes
 		c := make([]int64, len(sh))
 		for v := range sh {
 			c[v] = sh[v].Work
@@ -210,7 +211,7 @@ func runParallelBench(name string, n, arms, reps int, workerCounts []int) (paral
 		identical := true
 		for rep := 0; rep < reps; rep++ {
 			t0 := time.Now()
-			ans, err := faq.SolveOnGHD(q, g)
+			ans, _, err := faq.SolveGHD(nil, q, g, faq.SolveOptions{})
 			el := time.Since(t0).Nanoseconds()
 			if err != nil {
 				return bench, err
@@ -254,7 +255,7 @@ func runParallel(outPath string) error {
 		HostCPUs:   runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Methodology: "sim_speedup = total_work_ns / exec.Makespan(per-node costs from a 1-worker " +
-			"SolveOnGHDShaped run, replayed atomically at the given worker budget); " +
+			"shaped SolveGHD run, replayed atomically at the given worker budget); " +
 			"sim_speedup_shaped = total_work_ns / exec.MakespanShaped(same run's TaskShapes: " +
 			"Work plus the Divisible portion spent in partitionable relation kernels, replayed " +
 			"as parallel chunks + serial tail per node); wall_ns = fastest-of-reps wall clock at " +

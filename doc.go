@@ -30,9 +30,8 @@
 // options (WithWorkers, WithPlanCache, WithMemoryBudget,
 // WithBruteForceFallback) — serves Solve, SolveBatch, Explain, and
 // SolveOnNetwork. Engines route through internal/plan + internal/service,
-// so the library and the cmd/faqd daemon share one execution path; the
-// old faq.SolveOnGHD* variants are thin wrappers over the single
-// faq.SolveGHD ctx+options core. Explain surfaces the paper's bounds as
+// so the library and the cmd/faqd daemon share one execution path: the
+// single faq.SolveGHD ctx+options entry point. Explain surfaces the paper's bounds as
 // planning output — the GHD tree, y(H)/n₂(H)/width/depth, and per-node
 // output bounds (≤ N for label-covered nodes per eq. 24, N^|χ(v)| for
 // the fat core root) — and the same bounds drive WithMemoryBudget's
@@ -66,10 +65,13 @@
 // scheduler (GOMAXPROCS-defaulted, overridable via exec.SetWorkers,
 // errgroup-style cancellation). Three layers use it:
 //
-//   - faq.SolveOnGHD dispatches sibling subtrees of the bottom-up
-//     Theorem G.3 pass concurrently (exec.Pool.Forest orders children
-//     before parents), joining each node only when its children's
-//     messages resolved.
+//   - faq.SolveGHD dispatches sibling subtrees of the bottom-up
+//     Theorem G.3 pass concurrently (faq.Pass over exec.Pool.Forest,
+//     which orders children before parents), joining each node only
+//     when its children's messages resolved. The pass itself — each
+//     node's factor placement, child join order, and keep set — is one
+//     faq.MessagePlan shared with incremental views, the cluster
+//     coordinator, and the paper's protocol engine.
 //   - The relation kernel partitions every hot operator once it touches
 //     ≥ 2^14 tuples and more than one worker is configured: the
 //     packed-key hash Join/Semijoin and EliminateVar's grouping pass
@@ -103,7 +105,7 @@
 // For accounting, a node task is no longer atomic: exec.TaskShape
 // records the portion of a task's cost spent inside partitionable
 // kernels (exec.Divisible regions, measured by exec.ForestShaped /
-// faq.SolveOnGHDShaped), and exec.MakespanShaped replays that portion
+// faq.SolveGHD with SolveOptions.Shaped), and exec.MakespanShaped replays that portion
 // as parallel chunks plus a serial tail. `faqbench -parallel` (`make
 // bench-parallel`) emits BENCH_parallel.json: speedup-vs-workers curves
 // combining measured wall clock with both the atomic and the shaped
@@ -130,7 +132,7 @@
 //     a request is an O(plan) ghd.Relabel, validated so a fingerprint
 //     collision surfaces as an error rather than a wrong execution.
 //   - internal/service admits requests, binds cached plans to fresh
-//     factor data, and executes faq.SolveOnGHDCtx on the shared exec
+//     factor data, and executes faq.SolveGHD on the shared exec
 //     pool with per-request cancellation (exec.Pool.ForestCtx gates
 //     every node task on ctx). A batching path groups same-plan requests
 //     into
@@ -144,7 +146,7 @@
 //     doubles as the CI smoke driver against a live faqd (`make
 //     bench-service`, `make smoke-service`).
 //
-// Answer contract: a served answer is exactly faq.SolveOnGHD(q, g) for
+// Answer contract: a served answer is exactly faq.SolveGHD(q, g) for
 // the bound plan g. Exact semirings (Bool, Count, F2) are bit-identical
 // to per-request planning at every worker count; float semirings are
 // equal modulo the semiring's re-association tolerance — the same

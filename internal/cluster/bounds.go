@@ -11,18 +11,18 @@ import (
 // given size — the quantity Stats.SolvePayloadBytes measures. It is
 // derived statically from the distribution plan:
 //
-// Every factor node v exchanges its message with schema keep[v] (the
-// bag variables surviving v's aggregation) in one gather — W partial
-// messages, worker w's rows being the distinct keep[v]-projections of
-// its factor shard, so at most min(|R_v|, W·|D|^|keep[v]|) rows in
-// total (a projection deduplicates per worker, not globally) — and,
-// when its parent is also a factor node, one scatter re-slicing the
-// merged (globally deduplicated) message across the parent's workers,
-// at most min(|R_v|, |D|^|keep[v]|) rows. Each row costs
-// shard.RowWireBytes(|keep[v]|) bytes, plus W per-slice schema headers
-// per hop. Factorless nodes (the fat core root of Construction 2.8)
-// join at the coordinator and move no frames of their own; their
-// children pay the gather hop only.
+// Every factor node v exchanges its message with schema Keep[v] (the
+// bag variables surviving v's aggregation, from faq.MessagePlan) in one
+// gather — W partial messages, worker w's rows being the distinct
+// Keep[v]-projections of its factor shard, so at most
+// min(|R_v|, W·|D|^|Keep[v]|) rows in total (a projection deduplicates
+// per worker, not globally) — and, when its parent is also a factor
+// node, one scatter re-slicing the merged (globally deduplicated)
+// message across the parent's workers, at most min(|R_v|, |D|^|Keep[v]|)
+// rows. Each row costs shard.RowWireBytes(|Keep[v]|) bytes, plus W
+// per-slice schema headers per hop. Factorless nodes (the fat core root
+// of Construction 2.8) join at the coordinator and move no frames of
+// their own; their children pay the gather hop only.
 //
 // Shapes the coordinator cannot distribute return the same wrapped
 // faq.ErrNotDistributable that SolveGHD would.
@@ -38,7 +38,7 @@ func PayloadBound[T any](q *faq.Query[T], g *ghd.GHD, workers int) (int64, error
 		if e == -1 {
 			continue // computed at the coordinator: no frames
 		}
-		k := len(p.keep[v])
+		k := len(p.Keep[v])
 		rwb, hdr := int64(shard.RowWireBytes(k)), int64(shard.EncodedBytes(k, 0))
 		gatherRows := int64(q.Factors[e].Len())
 		scatterRows := gatherRows

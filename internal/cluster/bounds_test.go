@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/faq"
@@ -52,5 +53,29 @@ func TestPayloadBoundNotDistributable(t *testing.T) {
 	q.VarOps = map[int]semiring.Op[int64]{1: semiring.AddOf[int64](sc)}
 	if _, err := PayloadBound(q, g, 2); !errors.Is(err, faq.ErrNotDistributable) {
 		t.Fatalf("PayloadBound on VarOps query: %v, want ErrNotDistributable", err)
+	}
+}
+
+// TestTemplateMessageSchemasAreKeep pins the invariant planStars' keys
+// and PayloadBound rest on: on every standing template, the message
+// faq.Pass produces at each GHD node has schema exactly Keep[v].
+func TestTemplateMessageSchemasAreKeep(t *testing.T) {
+	sc := semiring.Count{}
+	gen := func(r *rand.Rand) int64 { return int64(1 + r.Intn(4)) }
+	for _, tpl := range workload.Templates() {
+		q, g := templateQuery(t, sc, tpl.Name, 21, gen)
+		p, err := faq.NewMessagePlan(g, q.Free)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, _, err := faq.Pass(context.Background(), q, p, faq.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, m := range msgs {
+			if !slices.Equal(m.Schema(), p.Keep[v]) {
+				t.Errorf("%s node %d: message schema %v, Keep %v", tpl.Name, v, m.Schema(), p.Keep[v])
+			}
+		}
 	}
 }

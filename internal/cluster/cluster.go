@@ -5,11 +5,12 @@
 //
 // # Execution scheme
 //
-// Planning mirrors faq.SolveGHD exactly. Each GHD node v carrying a
-// factor gets a static partition key K_v:
+// Planning starts from faq.MessagePlan, the same derivation the local
+// faq.SolveGHD pass runs on (postorder, child join order, and each
+// node's keep set χ(v) ∩ (free ∪ χ(parent))). Each GHD node v carrying
+// a factor gets a static partition key K_v:
 //
-//   - a leaf partitions its factor on the columns its message keeps
-//     (χ(v) ∩ (free ∪ χ(parent)));
+//   - a leaf partitions its factor on the columns its message keeps;
 //   - an internal node partitions on the intersection of its children's
 //     message schemas — a subset of every child message's columns, so
 //     routing child messages by the same key co-locates every joining
@@ -17,9 +18,10 @@
 //   - an empty key (including any node with a factorless child) sends
 //     all rows to worker 0, the correct serialized fallback.
 //
-// Factorless nodes (the fat core root of Construction 2.8) are computed
-// at the coordinator from the already-gathered child messages, exactly
-// as the netsim protocols run their core phase at one player.
+// Factorless nodes (the fat core root of Construction 2.8) run the
+// shared node task (faq.NodeMessage) at the coordinator on the
+// already-gathered child messages, exactly as the netsim protocols run
+// their core phase at one player.
 //
 // Per star, the coordinator scatters each merged child message as
 // routed slices (StoreMsg), asks every worker to join its shard with
@@ -29,6 +31,18 @@
 // ⊕ as the local pass, so answers are bit-identical to faq.SolveGHD
 // for exact semirings at any worker count — the same contract the exec
 // layer holds for threads, extended to processes.
+//
+// # Session epochs
+//
+// Every solve is one worker session, stamped with an epoch: the
+// coordinator's wall clock in nanoseconds, bumped past its previous
+// epoch, so epochs rise across solves, coordinator restarts, and
+// coordinators taking turns on one fleet. Each session frame carries it
+// as an 8-byte body prefix. A failed fan-out poisons its
+// connections, but frames already written are still served afterwards;
+// the worker rejects any frame older than its current session, so a
+// straggling Reset, Load, or Store from an abandoned solve can never
+// clear or overwrite the next solve's state.
 //
 // The Transport seam carries the protocol either over real TCP
 // (internal/rpc) or over the netsim ledger in-process (SimTransport),
@@ -44,7 +58,9 @@ import (
 	"repro/internal/shard"
 )
 
-// Frame kinds of the cluster protocol (rpc.Frame.Kind).
+// Frame kinds of the cluster protocol (rpc.Frame.Kind). Every kind but
+// kindPing is a session frame whose body starts with the session epoch
+// (withEpoch); the bodies below follow that prefix.
 const (
 	kindPing    uint8 = iota + 1 // liveness probe → kindOK
 	kindReset                    // drop all session state → kindOK
@@ -103,6 +119,22 @@ func Profile[T any](name string) (semiring.Semiring[T], shard.Codec[T], error) {
 
 func floatCodec() shard.Codec[float64] {
 	return shard.Codec[float64]{Enc: math.Float64bits, Dec: math.Float64frombits}
+}
+
+// withEpoch prefixes a session frame body with its epoch:
+// [u64 epoch][body].
+func withEpoch(epoch uint64, body []byte) []byte {
+	buf := make([]byte, 8, 8+len(body))
+	binary.BigEndian.PutUint64(buf, epoch)
+	return append(buf, body...)
+}
+
+// splitEpoch is withEpoch's inverse.
+func splitEpoch(body []byte) (uint64, []byte, error) {
+	if len(body) < 8 {
+		return 0, nil, fmt.Errorf("cluster: session frame without an epoch (%d bytes)", len(body))
+	}
+	return binary.BigEndian.Uint64(body), body[8:], nil
 }
 
 // encodeQuery serializes a session header: [u32 domSize][name bytes].

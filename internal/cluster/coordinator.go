@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/faq"
 	"repro/internal/ghd"
@@ -59,6 +59,7 @@ type Client struct {
 	inflight int
 
 	solveMu sync.Mutex // serializes SolveGHD passes
+	epoch   uint64     // last session epoch (wall-clock ns); guarded by solveMu
 
 	solves        atomic.Int64
 	frames        atomic.Int64
@@ -223,15 +224,14 @@ func NewSolver[T any](c *Client, semiringName string) (*Solver[T], error) {
 	return &Solver[T]{c: c, name: semiringName, cod: cod}, nil
 }
 
-// starPlan is the static distribution plan for one GHD: which edge (if
-// any) each node carries, the partition key each distributed node
-// shards on, and the columns each node's message keeps.
+// starPlan is the static distribution plan for one GHD: the shared
+// faq.MessagePlan (postorder, children, per-node keep sets), which edge
+// (if any) each node carries, and the partition key each distributed
+// node shards on.
 type starPlan struct {
+	*faq.MessagePlan
 	factorEdge []int   // node → hyperedge id, -1 for factorless nodes
 	key        [][]int // node → partition key (nil only semantically for factorless)
-	keep       [][]int // node → sorted columns the node's message keeps
-	children   [][]int
-	order      []int // postorder
 }
 
 // planStars validates distributability and derives the per-node keys.
@@ -241,68 +241,47 @@ func planStars[T any](q *faq.Query[T], g *ghd.GHD) (*starPlan, error) {
 	if len(q.VarOps) != 0 {
 		return nil, fmt.Errorf("%w: per-variable aggregate operators", faq.ErrNotDistributable)
 	}
+	mp, err := faq.NewMessagePlan(g, q.Free)
+	if err != nil {
+		return nil, err
+	}
 	n := g.NumNodes()
-	p := &starPlan{
-		factorEdge: make([]int, n),
-		key:        make([][]int, n),
-		keep:       make([][]int, n),
-		children:   g.Children(),
-		order:      g.PostOrder(),
-	}
-	for v := range p.factorEdge {
-		p.factorEdge[v] = -1
-	}
-	for e, v := range g.NodeOf {
-		if p.factorEdge[v] != -1 {
+	p := &starPlan{MessagePlan: mp, factorEdge: make([]int, n), key: make([][]int, n)}
+	for v, es := range p.Edges {
+		switch len(es) {
+		case 0:
+			p.factorEdge[v] = -1
+		case 1:
+			p.factorEdge[v] = es[0]
+		default:
 			return nil, fmt.Errorf("%w: GHD node %d carries multiple factors", faq.ErrNotDistributable, v)
 		}
-		p.factorEdge[v] = e
-	}
-	free := append([]int(nil), q.Free...)
-	sort.Ints(free)
-	// keep[v]: the variables of χ(v) surviving v's aggregation — free
-	// variables and (below the root) those shared with the parent bag.
-	// This is exactly the keep predicate of faq.SolveGHD's node task
-	// restricted to the bag, which covers every schema the node can see.
-	for v := 0; v < n; v++ {
-		var keep []int
-		parentBag := []int(nil)
-		if v != g.Root {
-			parentBag = g.Bags[g.Parent[v]]
-		}
-		for _, x := range g.Bags[v] {
-			if hypergraph.ContainsSorted(free, x) || (v != g.Root && hypergraph.ContainsSorted(parentBag, x)) {
-				keep = append(keep, x)
-			}
-		}
-		p.keep[v] = keep
 	}
 	// key[v] for a factor node: a column set contained in the node's own
 	// schema and in every child message's schema, so hash-routing rows
-	// and message slices by it co-locates all joining pairs. A factor
-	// child c's message schema is statically keep[c] (its bag is its
-	// factor's schema); a factorless child's is data-dependent, so any
-	// such child forces the empty key — the worker-0 serialization.
+	// and message slices by it co-locates all joining pairs. A child c's
+	// message schema is Keep[c] when c carries a factor (its joined
+	// schema is its whole bag); a factorless child's is data-dependent,
+	// so any such child forces the empty key — the worker-0
+	// serialization.
 	for v := 0; v < n; v++ {
 		if p.factorEdge[v] == -1 {
 			continue // computed at the coordinator
 		}
-		if len(p.children[v]) == 0 {
-			p.key[v] = append([]int(nil), p.keep[v]...)
+		if len(p.Children[v]) == 0 {
+			p.key[v] = p.Keep[v]
 			continue
 		}
 		key := []int(nil)
-		first := true
-		for _, ch := range p.children[v] {
+		for i, ch := range p.Children[v] {
 			if p.factorEdge[ch] == -1 {
 				key = nil
 				break
 			}
-			if first {
-				key = append([]int(nil), p.keep[ch]...)
-				first = false
+			if i == 0 {
+				key = p.Keep[ch]
 			} else {
-				key = hypergraph.IntersectSorted(key, p.keep[ch])
+				key = hypergraph.IntersectSorted(key, p.Keep[ch])
 			}
 		}
 		p.key[v] = key
@@ -327,13 +306,20 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	defer c.solveMu.Unlock()
 	W := c.tr.Workers()
 	phasesBefore, payloadBefore := c.phases.Load(), c.solvePayload.Load()
+	// The session epoch: the wall clock, bumped past this Client's last
+	// one, so epochs rise across solves, restarts, and Clients taking
+	// turns on one fleet.
+	c.epoch = max(c.epoch+1, uint64(time.Now().UnixNano()))
+	frame := func(kind uint8, a, b int32, body []byte) *rpc.Frame {
+		return &rpc.Frame{Kind: kind, A: a, B: b, Body: withEpoch(c.epoch, body)}
+	}
 
 	// Session setup: clear worker state, then bind the semiring profile.
-	if err := c.broadcast(ctx, &rpc.Frame{Kind: kindReset}); err != nil {
+	if err := c.broadcast(ctx, frame(kindReset, 0, 0, nil)); err != nil {
 		return nil, err
 	}
 	qbody := encodeQuery(s.name, q.DomSize)
-	if err := c.broadcast(ctx, &rpc.Frame{Kind: kindQuery, Body: qbody}); err != nil {
+	if err := c.broadcast(ctx, frame(kindQuery, 0, 0, qbody)); err != nil {
 		return nil, err
 	}
 
@@ -341,7 +327,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	// scatter the shards. Every worker gets a (possibly empty) shard so
 	// it knows each relation's schema.
 	var loads []workerReq
-	for _, v := range plan.order {
+	for _, v := range plan.Order {
 		e := plan.factorEdge[v]
 		if e == -1 {
 			continue
@@ -354,7 +340,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 			body := shard.Encode(sh, s.cod)
 			c.loadShards.Add(1)
 			c.loadPayload.Add(int64(len(body)))
-			loads = append(loads, workerReq{worker: w, frame: &rpc.Frame{Kind: kindLoad, A: int32(v), Body: body}})
+			loads = append(loads, workerReq{worker: w, frame: frame(kindLoad, int32(v), 0, body)})
 		}
 	}
 	if _, err := c.fanout(ctx, loads); err != nil {
@@ -363,23 +349,18 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 
 	// Bottom-up pass: one scatter/gather per star, in postorder.
 	msgs := make([]*relation.Relation[T], g.NumNodes())
-	for _, v := range plan.order {
+	for _, v := range plan.Order {
 		if plan.factorEdge[v] == -1 {
 			// Factorless node (the fat core root of Construction 2.8):
-			// its children's merged messages are already here — join and
-			// aggregate at the coordinator, exactly as the netsim
+			// its children's merged messages are already here — run the
+			// node task at the coordinator, exactly as the netsim
 			// protocols run their core phase at one player.
-			cur := relation.Unit(q.S, q.S.One())
-			for _, ch := range plan.children[v] {
-				cur = relation.Join(q.S, cur, msgs[ch])
-				msgs[ch] = nil
-			}
-			keep := plan.keep[v]
-			cur, err := faq.AggregateOut(q, cur, func(x int) bool {
-				return hypergraph.ContainsSorted(keep, x)
-			})
+			cur, err := faq.NodeMessage(q, plan.MessagePlan, nil, msgs, v)
 			if err != nil {
 				return nil, err
+			}
+			for _, ch := range plan.Children[v] {
+				msgs[ch] = nil
 			}
 			msgs[v] = cur
 			continue
@@ -387,7 +368,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 		// Scatter: route each child's merged message to the workers
 		// holding the matching shard rows.
 		var stores []workerReq
-		for i, ch := range plan.children[v] {
+		for i, ch := range plan.Children[v] {
 			slices, err := shard.Split(q.S, msgs[ch], plan.key[v], W)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: routing message %d→%d: %w", ch, v, err)
@@ -397,9 +378,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 				body := shard.Encode(sl, s.cod)
 				c.solveMessages.Add(1)
 				c.solvePayload.Add(int64(len(body)))
-				stores = append(stores, workerReq{worker: w, frame: &rpc.Frame{
-					Kind: kindStore, A: int32(v), B: int32(i), Body: body,
-				}})
+				stores = append(stores, workerReq{worker: w, frame: frame(kindStore, int32(v), int32(i), body)})
 			}
 		}
 		if len(stores) > 0 {
@@ -409,12 +388,10 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 		}
 		// Gather: every worker runs its local star and returns the
 		// partial message; merge in worker order.
-		keepBody := encodeVars(plan.keep[v])
+		compute := frame(kindCompute, int32(v), int32(len(plan.Children[v])), encodeVars(plan.Keep[v]))
 		computes := make([]workerReq, W)
 		for w := 0; w < W; w++ {
-			computes[w] = workerReq{worker: w, frame: &rpc.Frame{
-				Kind: kindCompute, A: int32(v), B: int32(len(plan.children[v])), Body: keepBody,
-			}}
+			computes[w] = workerReq{worker: w, frame: compute}
 		}
 		resps, err := c.fanout(ctx, computes)
 		if err != nil {

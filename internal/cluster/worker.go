@@ -18,10 +18,12 @@ import (
 // serves the cluster frame protocol via Handle — plug it into
 // rpc.Serve for a real worker or into SimTransport for the in-process
 // double. A Worker serves one coordinator session at a time (the
-// coordinator serializes solves); Handle is safe for concurrent calls.
+// coordinator serializes solves) and rejects frames from an older
+// session epoch; Handle is safe for concurrent calls.
 type Worker struct {
-	mu   sync.Mutex
-	sess session
+	mu    sync.Mutex
+	epoch uint64 // epoch of the latest Reset or Query
+	sess  session
 }
 
 // NewWorker returns an idle worker with no session.
@@ -41,40 +43,47 @@ func (w *Worker) Handle(ctx context.Context, req *rpc.Frame) *rpc.Frame {
 }
 
 func (w *Worker) handle(req *rpc.Frame) (*rpc.Frame, error) {
-	switch req.Kind {
-	case kindPing:
+	if req.Kind == kindPing {
 		return &rpc.Frame{Kind: kindOK}, nil
+	}
+	epoch, body, err := splitEpoch(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	if epoch < w.epoch {
+		return nil, fmt.Errorf("cluster: stale frame kind %d from session %d (current %d)", req.Kind, epoch, w.epoch)
+	}
+	switch req.Kind {
 	case kindReset:
-		w.sess = nil
+		w.epoch, w.sess = epoch, nil
 		return &rpc.Frame{Kind: kindOK}, nil
 	case kindQuery:
-		name, dom, err := decodeQuery(req.Body)
+		w.epoch, w.sess = epoch, nil
+		name, dom, err := decodeQuery(body)
 		if err != nil {
 			return nil, err
 		}
-		sess, err := newSession(name, dom)
-		if err != nil {
+		if w.sess, err = newSession(name, dom); err != nil {
 			return nil, err
 		}
-		w.sess = sess
 		return &rpc.Frame{Kind: kindOK}, nil
 	case kindLoad, kindStore, kindCompute:
-		if w.sess == nil {
+		if w.sess == nil || epoch != w.epoch {
 			return nil, fmt.Errorf("cluster: frame kind %d before session setup", req.Kind)
 		}
 		switch req.Kind {
 		case kindLoad:
-			if err := w.sess.load(req.A, req.Body); err != nil {
+			if err := w.sess.load(req.A, body); err != nil {
 				return nil, err
 			}
 			return &rpc.Frame{Kind: kindOK}, nil
 		case kindStore:
-			if err := w.sess.store(req.A, req.B, req.Body); err != nil {
+			if err := w.sess.store(req.A, req.B, body); err != nil {
 				return nil, err
 			}
 			return &rpc.Frame{Kind: kindOK}, nil
 		default:
-			body, err := w.sess.compute(req.A, int(req.B), req.Body)
+			body, err := w.sess.compute(req.A, int(req.B), body)
 			if err != nil {
 				return nil, err
 			}

@@ -76,7 +76,8 @@ func Solve[T any](q *Query[T]) (*relation.Relation[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolveOnGHD(q, g)
+	ans, _, err := SolveGHD(nil, q, g, SolveOptions{})
+	return ans, err
 }
 
 // PlanGHD is the query-planning primitive shared by the centralized
@@ -148,9 +149,7 @@ func RootForFree(g *ghd.GHD, free []int) (*ghd.GHD, error) {
 }
 
 // SolveOptions configures one GHD bottom-up pass. The zero value is the
-// plain parallel solve on the process-default pool; every solver entry
-// point of this package is a thin wrapper over SolveGHD with a fixed
-// option set.
+// plain parallel solve on the process-default pool.
 type SolveOptions struct {
 	// Pool schedules the forest pass; nil uses exec.Default(). Engines
 	// configured with a private worker budget (faqs.WithWorkers) thread
@@ -197,158 +196,32 @@ type SolveMetrics struct {
 	Shapes []exec.TaskShape
 }
 
-// SolveOnGHD is Solve with a caller-chosen decomposition (used by the
-// distributed protocols, which must run on the same tree they schedule
-// communication for).
-//
-// Execution is parallel across independent subtrees: the bottom-up pass
-// dispatches sibling subtrees onto the exec default pool and joins each
-// node only once its children's messages resolved (exec.Pool.Forest
-// provides the child-completion happens-before edge). Per-node work —
-// the child-message joins in fixed child order, then the innermost-first
-// aggregation — is unchanged from the sequential pass, so the result is
-// bit-identical at any worker count.
-func SolveOnGHD[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], error) {
-	rel, _, err := SolveGHD(nil, q, g, SolveOptions{})
-	return rel, err
-}
-
-// SolveOnGHDCtx is SolveOnGHD with per-request cancellation and cost
-// measurement — the service layer's execution entry point. Each node task
-// checks ctx before running (exec.Pool.ForestCtx), so a canceled request
-// stops dispatching GHD nodes and returns ctx.Err() while in-flight node
-// tasks complete. The returned cost vector is ForestTimed's per-node
-// wall clock (indexed by GHD node), which the plan cache folds into its
-// measured task shapes for /stats and schedule-replay accounting.
-func SolveOnGHDCtx[T any](ctx context.Context, q *Query[T], g *ghd.GHD) (*relation.Relation[T], []int64, error) {
-	rel, m, err := SolveGHD(ctx, q, g, SolveOptions{Timed: true})
-	return rel, m.Costs, err
-}
-
-// SolveOnGHDTimed is SolveOnGHD, additionally returning the wall-clock
-// cost of every node task of the bottom-up pass (indexed by GHD node).
-// The cost vector feeds exec.Makespan's schedule replay — the
-// hardware-independent speedup accounting of `faqbench -parallel`.
-func SolveOnGHDTimed[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], []int64, error) {
-	rel, m, err := SolveGHD(nil, q, g, SolveOptions{Timed: true})
-	return rel, m.Costs, err
-}
-
-// SolveOnGHDShaped is SolveOnGHDTimed with intra-node divisibility
-// accounting: the pass runs strictly sequentially (exec.ForestShaped is
-// a measurement harness) and each node's shape records, besides its
-// total wall cost, the time spent inside relation kernels that would
-// have partitioned across workers (the exec.Divisible regions — merge
-// and hash joins, Builder sorts, packed grouping) and their maximum
-// split count. The shapes feed exec.MakespanShaped's refined schedule
-// replay. Meaningful with the default pool at 1 worker, so the kernels
-// take the sequential paths that mark those regions.
-func SolveOnGHDShaped[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], []exec.TaskShape, error) {
-	rel, m, err := SolveGHD(nil, q, g, SolveOptions{Shaped: true})
-	return rel, m.Shapes, err
-}
-
-// SolveGHD is the single bottom-up-pass entry point behind every
-// SolveOnGHD* wrapper: one ctx+options core instead of per-mode
-// variants. ctx may be nil (background); opts selects the pool and the
-// measurement mode.
+// SolveGHD is the single bottom-up-pass entry point: it validates q,
+// derives the MessagePlan over g (rejecting F ⊄ root bag with
+// ErrFreeOutsideRoot), and runs the pass — on opts.Distributed when set
+// and the shape is distributable, else locally via Pass — returning the
+// root message. ctx may be nil (background); opts selects the pool and
+// the measurement mode. The result is bit-identical at any worker count.
 func SolveGHD[T any](ctx context.Context, q *Query[T], g *ghd.GHD, opts SolveOptions) (*relation.Relation[T], SolveMetrics, error) {
-	var metrics SolveMetrics
 	if err := q.Validate(); err != nil {
-		return nil, metrics, err
+		return nil, SolveMetrics{}, err
 	}
-	rootBag := g.Bags[g.Root]
-	for _, v := range q.Free {
-		if !hypergraph.ContainsSorted(rootBag, v) {
-			return nil, metrics, fmt.Errorf("faq: free variable %d outside root bag %v: %w", v, rootBag, ErrFreeOutsideRoot)
+	p, err := NewMessagePlan(g, q.Free)
+	if err != nil {
+		return nil, SolveMetrics{}, err
+	}
+	if ds, ok := opts.Distributed.(DistributedSolver[T]); ok {
+		ans, err := ds.SolveGHD(ctx, q, g)
+		if err == nil {
+			// No per-node cost vector: the work ran on the cluster.
+			return ans, SolveMetrics{}, nil
 		}
-	}
-
-	if opts.Distributed != nil {
-		if ds, ok := opts.Distributed.(DistributedSolver[T]); ok {
-			ans, err := ds.SolveGHD(ctx, q, g)
-			if err == nil {
-				// No per-node cost vector: the work ran on the cluster.
-				return ans, metrics, nil
-			}
-			if !errors.Is(err, ErrNotDistributable) {
-				return nil, metrics, err
-			}
-			// Shape not distributable: run the local pass below.
+		if !errors.Is(err, ErrNotDistributable) {
+			return nil, SolveMetrics{}, err
 		}
+		// Shape not distributable: run the local pass below.
 	}
-
-	// Factor assigned to each node: its designated hyperedge's relation;
-	// the fat root (if any) starts from the multiplicative unit.
-	nodeRel := make([]*relation.Relation[T], g.NumNodes())
-	for e, v := range g.NodeOf {
-		if nodeRel[v] == nil {
-			nodeRel[v] = q.Factors[e]
-		} else {
-			// Multiple hyperedges can share a node only via duplicate
-			// edges mapped elsewhere; NodeOf is injective by Validate,
-			// but guard anyway.
-			nodeRel[v] = relation.Join(q.S, nodeRel[v], q.Factors[e])
-		}
-	}
-
-	free := make(map[int]bool, len(q.Free))
-	for _, v := range q.Free {
-		free[v] = true
-	}
-
-	msgs := make([]*relation.Relation[T], g.NumNodes())
-	ch := g.Children()
-	task := func(v int) error {
-		cur := nodeRel[v]
-		if cur == nil {
-			cur = relation.Unit(q.S, q.S.One())
-		}
-		for _, c := range ch[v] {
-			cur = relation.Join(q.S, cur, msgs[c])
-		}
-		// Aggregate out the variables private to this subtree: those not
-		// in the parent's bag (running intersection guarantees a
-		// variable escaping the subtree appears in the parent bag) and
-		// not free. Innermost (highest id) first, per eq. 4.
-		var parentBag []int
-		if v != g.Root {
-			parentBag = g.Bags[g.Parent[v]]
-		}
-		atRoot := v == g.Root
-		cur, err := AggregateOut(q, cur, func(x int) bool {
-			return free[x] || (!atRoot && hypergraph.ContainsSorted(parentBag, x))
-		})
-		if err != nil {
-			return err
-		}
-		msgs[v] = cur
-		return nil
-	}
-	run := task
-	if ctx != nil {
-		// The same per-task ctx gate ForestCtx applies, threaded here so
-		// the timed/shaped variants stay cancellable too.
-		run = func(v int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return task(v)
-		}
-	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = exec.Default()
-	}
-	var err error
-	switch {
-	case opts.Shaped:
-		metrics.Shapes, err = pool.ForestShaped(g.Parent, run)
-	case opts.Timed:
-		metrics.Costs, err = pool.ForestTimed(g.Parent, run)
-	default:
-		err = pool.ForestCtx(ctx, g.Parent, task)
-	}
+	msgs, metrics, err := Pass(ctx, q, p, opts)
 	if err != nil {
 		return nil, SolveMetrics{}, err
 	}

@@ -123,7 +123,7 @@ func Compile(fp *Fingerprint) (*Plan, error) {
 // via the Fingerprint that matched this plan: an O(plan size) relabeling
 // (ghd.Relabel), validated so that a fingerprint collision surfaces as an
 // error instead of a silently wrong execution. The bound GHD feeds
-// faq.SolveOnGHD / protocol.RunOnGHD directly.
+// faq.SolveGHD / protocol.RunOnGHD directly.
 func (p *Plan) Bind(fp *Fingerprint, h *hypergraph.Hypergraph) (*ghd.GHD, error) {
 	if p.Fallback {
 		return nil, fmt.Errorf("plan: %w", faq.ErrFreeOutsideRoot)
@@ -180,7 +180,7 @@ func (p *Plan) EstimateBytes(n int) float64 {
 }
 
 // RecordExec books one execution of the plan and folds the measured
-// per-node costs (faq.SolveOnGHDCtx's ForestTimed vector) into the
+// per-node costs (faq.SolveGHD's SolveOptions.Timed vector) into the
 // plan's task shapes — the "measured TaskShapes from prior runs" that
 // /stats and schedule-replay accounting read. Latest run wins; callers
 // pass nil costs to count an execution without a measurement.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faq"
+	"repro/internal/ghd"
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/topology"
@@ -245,5 +246,28 @@ func TestSolveCentralFallbackPolicy(t *testing.T) {
 	}
 	if !relation.Equal(sb, ans, want) {
 		t.Error("RunTrivial sentinel-fallback answer != brute force")
+	}
+}
+
+// TestRunOnGHDFreeOutsideRoot: the main protocol on a decomposition
+// whose root bag misses a free variable fails with the shared
+// faq.ErrFreeOutsideRoot sentinel, so callers can route it to the
+// brute-force fallback like every other executor's.
+func TestRunOnGHDFreeOutsideRoot(t *testing.T) {
+	h := hypergraph.PathGraph(5)
+	factors := make([]*relation.Relation[bool], h.NumEdges())
+	for i := range factors {
+		b := relation.NewBuilder[bool](sb, h.Edge(i))
+		b.AddOne(1, 1)
+		factors[i] = b.Build()
+	}
+	q := &faq.Query[bool]{S: sb, H: h, Factors: factors, Free: []int{0, 4}, DomSize: 2}
+	g, err := ghd.Minimize(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Setup[bool]{Q: q, G: topology.Line(2), Assign: Assignment{0, 0, 1, 1}, Output: 1}
+	if _, _, err := RunOnGHD(s, g); !errors.Is(err, faq.ErrFreeOutsideRoot) {
+		t.Fatalf("RunOnGHD error = %v, want wrapped ErrFreeOutsideRoot", err)
 	}
 }

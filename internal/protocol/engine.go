@@ -9,7 +9,6 @@ import (
 	"repro/internal/faq"
 	"repro/internal/flow"
 	"repro/internal/ghd"
-	"repro/internal/hypergraph"
 	"repro/internal/keys"
 	"repro/internal/netsim"
 	"repro/internal/relation"
@@ -25,6 +24,7 @@ type runner[T any] struct {
 	s   *Setup[T]
 	net *netsim.Network
 	g   *ghd.GHD
+	p   *faq.MessagePlan
 
 	rel    []*relation.Relation[T] // current relation per GHD node
 	owner  []int                   // current holder per GHD node (-1: none)
@@ -78,10 +78,9 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 	if err := gh.Validate(); err != nil {
 		return nil, rep, err
 	}
-	for _, v := range s.Q.Free {
-		if !hypergraph.ContainsSorted(gh.Bags[gh.Root], v) {
-			return nil, rep, fmt.Errorf("protocol: free variable %d outside root bag (F ⊆ V(C(H)) required)", v)
-		}
+	p, err := faq.NewMessagePlan(gh, s.Q.Free)
+	if err != nil {
+		return nil, rep, err
 	}
 	net, err := netsim.New(s.G, s.Bits())
 	if err != nil {
@@ -91,6 +90,7 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 		s:      s,
 		net:    net,
 		g:      gh,
+		p:      p,
 		rel:    make([]*relation.Relation[T], gh.NumNodes()),
 		owner:  make([]int, gh.NumNodes()),
 		finish: make([]int, gh.NumNodes()),
@@ -103,8 +103,8 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 		r.owner[v] = s.Assign[e]
 	}
 
-	ch := gh.Children()
-	for _, v := range gh.PostOrder() {
+	ch := p.Children
+	for _, v := range p.Order {
 		if len(ch[v]) == 0 {
 			continue
 		}
@@ -133,29 +133,18 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 	return ans, rep, nil
 }
 
-// childMessage aggregates the private variables out of a child's current
-// relation (the push-down of Corollary G.2): everything in χ(c) not
-// shared with the parent bag is bound (free variables are in the root
-// bag, hence by the running intersection property also in the parent
-// bag) and is eliminated innermost-first with its per-variable operator.
-func (r *runner[T]) childMessage(c, parent int) (*relation.Relation[T], error) {
-	parentBag := r.g.Bags[parent]
-	return faq.AggregateOut(r.s.Q, r.rel[c], func(x int) bool {
-		return hypergraph.ContainsSorted(parentBag, x)
-	})
-}
-
 // starReduce runs Algorithm 1/2/3 on the star centered at GHD node v
 // with the given children, leaving R′_P at the target player.
 func (r *runner[T]) starReduce(v int, children []int, target int) error {
 	q := r.s.Q
 	start := r.finish[v]
-	// Child messages are pure local reductions (no ledger bookings), so
+	// Child messages are pure local reductions — the push-down of
+	// Corollary G.2 onto each child's keep set, no ledger bookings — so
 	// they fan out across the exec pool; every transmission below stays
 	// on the sequential schedule, keeping measured costs byte-identical.
 	msgList := make([]*relation.Relation[T], len(children))
 	if err := exec.Default().MapErr(len(children), func(i int) error {
-		m, err := r.childMessage(children[i], v)
+		m, err := faq.AggregateNode(q, r.p, children[i], r.rel[children[i]])
 		if err != nil {
 			return err
 		}
@@ -515,21 +504,15 @@ func (r *runner[T]) corePhase(root int, children []int) error {
 		}
 		r.finish[c] = done
 	}
-	// Local computation at the output: join everything, aggregate the
-	// bound variables innermost-first.
-	cur := relation.Unit(q.S, q.S.One())
+	// Local computation at the output: the fat root's node task — join
+	// everything, aggregate the bound variables innermost-first.
 	done := 0
 	for _, c := range children {
-		cur = relation.Join(q.S, cur, r.rel[c])
 		if r.finish[c] > done {
 			done = r.finish[c]
 		}
 	}
-	free := make(map[int]bool, len(q.Free))
-	for _, x := range q.Free {
-		free[x] = true
-	}
-	cur, err := faq.AggregateOut(q, cur, func(x int) bool { return free[x] })
+	cur, err := faq.NodeMessage(q, r.p, nil, r.rel, root)
 	if err != nil {
 		return err
 	}
@@ -544,11 +527,7 @@ func (r *runner[T]) corePhase(root int, children []int) error {
 func (r *runner[T]) finalize() (*relation.Relation[T], error) {
 	q := r.s.Q
 	root := r.g.Root
-	free := make(map[int]bool, len(q.Free))
-	for _, x := range q.Free {
-		free[x] = true
-	}
-	cur, err := faq.AggregateOut(q, r.rel[root], func(x int) bool { return free[x] })
+	cur, err := faq.AggregateNode(q, r.p, root, r.rel[root])
 	if err != nil {
 		return nil, err
 	}

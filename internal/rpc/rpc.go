@@ -18,7 +18,9 @@
 // deadline (the tighter of the connection default and the context
 // deadline), and aborts the blocking read promptly when the context is
 // canceled. Any exchange error poisons the connection — the reply
-// stream may be desynchronized — so callers discard it and dial anew.
+// stream may be desynchronized — so callers discard it and dial anew;
+// so does a cancellation racing a completed exchange, whose deadline
+// abort could otherwise land on the next exchange.
 //
 // The rpc.dial / rpc.send / rpc.recv failpoints fire on the client
 // side only: an injected failure surfaces as a typed error at the
@@ -208,8 +210,15 @@ func (c *Conn) RoundTrip(ctx context.Context, req *Frame) (*Frame, error) {
 	}
 	// Abort blocked I/O promptly on cancellation by expiring the
 	// deadline; fail() maps the resulting timeout back to ctx.Err().
+	// Once started, the watcher may expire the deadline after this
+	// exchange returns, so a connection whose watcher ran is never
+	// reused — the expired deadline would fail the next exchange.
 	stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Now()) })
-	defer stop()
+	defer func() {
+		if !stop() {
+			c.broken.Store(true)
+		}
+	}()
 
 	buf, err := appendFrame(c.wbuf[:0], req)
 	if err != nil {
