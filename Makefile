@@ -163,6 +163,7 @@ fuzz:
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzJoinMergeParallel -fuzztime=$(FUZZTIME)
 	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzQueryBuilder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/delta/ -run=NONE -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME)
+	$(GO) test ./cmd/faqd/ -run=NONE -fuzz=FuzzAnswerJSON -fuzztime=$(FUZZTIME)
 
 bench-service:
 	$(GO) run ./cmd/faqload -out BENCH_service.json

@@ -31,7 +31,9 @@
 // Status-code contract for solve failures (see README, Operations):
 // 429 budget admission rejection (retrying unchanged cannot succeed),
 // 503 transient — overloaded, deadline exceeded, or draining — with a
-// Retry-After header, 500 recovered internal panic, 422 invalid query.
+// Retry-After header, 500 recovered internal panic or an answer value
+// JSON cannot represent (NaN, ±Inf), 422 invalid query. Response bodies
+// are encoding/json's 2-space indented layout, byte for byte.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener closes (new
 // connections refused, /healthz already reports not-ready), in-flight
@@ -454,7 +456,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if ur.Close {
 		strategy := m.Strategy()
 		m.Close()
-		writeJSON(w, http.StatusOK, faqs.WireMaterializedAnswer{Name: ur.Name, Strategy: strategy, Closed: true})
+		writeJSON(w, http.StatusOK, &faqs.WireMaterializedAnswer{Name: ur.Name, Strategy: strategy, Closed: true})
 		return
 	}
 	if err := m.Update(r.Context(), ur.Factor, ur.Inserts, ur.Deletes); err != nil {
@@ -557,10 +559,21 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, wireError{Error: err.Error()})
 }
 
+// writeJSON encodes payload (encodeJSON: encoding/json's 2-space
+// indented layout, byte for byte) into a buffer before anything is
+// written, then sends it with its Content-Length. A payload that cannot
+// be rendered — a NaN or ±Inf answer value, such as minplus's 0 = +Inf
+// on an empty scalar answer — becomes a 500 with a JSON error body
+// naming the value, never a 200 with an empty or truncated body.
 func writeJSON(w http.ResponseWriter, code int, payload any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := encodeJSON(payload)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = encodeJSON(wireError{Error: fmt.Sprintf("faqd: encode response: %v", err)}) // a string field always encodes
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(payload)
+	_, _ = w.Write(body) // a failed write means the client is gone; nothing is left to tell it
 }

@@ -327,10 +327,13 @@ func (r *typedRunner[T]) toResult(q *Query, ans *relation.Relation[T], info *ser
 	for i, v := range ans.Schema() {
 		res.Schema[i] = q.h.VertexName(v)
 	}
+	// Every row is a window of one backing array, capped at its own end
+	// so a caller's append reallocates instead of clobbering the next.
+	a := ans.Arity()
+	flat := make([]int, ans.Len()*a)
 	for i := 0; i < ans.Len(); i++ {
-		t := ans.Tuple(i)
-		row := make([]int, len(t))
-		for j, x := range t {
+		row := flat[i*a : (i+1)*a : (i+1)*a]
+		for j, x := range ans.Tuple(i) {
 			row[j] = int(x)
 		}
 		res.Tuples[i] = row

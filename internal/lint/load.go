@@ -110,7 +110,10 @@ func (l *Loader) goList(patterns []string) ([]*listPackage, error) {
 // type-checks each one. For a package with in-package tests the [test]
 // variant is analyzed (its GoFiles are the base files plus the test
 // files); external foo_test packages are analyzed as their own unit;
-// generated .test mains are skipped.
+// generated .test mains are skipped, and so are the dependencies
+// recompiled for another package's tests (X [Y.test], X ≠ Y), whose
+// files are X's own — analyzing them again would count every finding
+// and pragma in X twice.
 func (l *Loader) Load(patterns []string) ([]*Package, error) {
 	listed, err := l.goList(patterns)
 	if err != nil {
@@ -145,6 +148,9 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 		if p.ForTest != "" {
 			if i := strings.IndexByte(logical, ' '); i >= 0 {
 				logical = logical[:i]
+			}
+			if logical != p.ForTest && logical != p.ForTest+"_test" {
+				continue // X [Y.test]: X recompiled for Y's tests, analyzed as X already
 			}
 		}
 		if p.ForTest == "" && superseded[p.ImportPath] {

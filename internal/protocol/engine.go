@@ -98,9 +98,20 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 	for i := range r.owner {
 		r.owner[i] = -1
 	}
-	for e, v := range gh.NodeOf {
-		r.rel[v] = s.Q.Factors[e]
-		r.owner[v] = s.Assign[e]
+	// A node carrying several factors starts from their join, which is
+	// local only when one player holds them all.
+	for v, edges := range p.Edges {
+		if len(edges) == 0 {
+			continue
+		}
+		owner := s.Assign[edges[0]]
+		for _, e := range edges[1:] {
+			if s.Assign[e] != owner {
+				return nil, rep, fmt.Errorf("protocol: GHD node %d holds edges %v split across players %d and %d; its factors must share one player", v, edges, owner, s.Assign[e])
+			}
+		}
+		r.rel[v] = faq.NodeFactor(s.Q.S, p, s.Q.Factors, v)
+		r.owner[v] = owner
 	}
 
 	ch := p.Children

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/faq"
@@ -359,5 +360,50 @@ func TestDeepForestQuery(t *testing.T) {
 	}
 	if !relation.Equal(sb, ans, want) {
 		t.Error("caterpillar query answer mismatch")
+	}
+}
+
+// TestRunOnGHDSharedNode places two factors at one GHD node. A node's
+// relation is the join of its factors: keeping only the last would
+// answer true on f0 = {(0,1)}, f1 = {(1,0)}, whose join is empty. Two
+// factors split across players cannot start from one local join, so
+// that placement is an error naming the node and the players.
+func TestRunOnGHDSharedNode(t *testing.T) {
+	sb := semiring.Bool{}
+	h := hypergraph.New(2)
+	h.AddEdge(0, 1)
+	h.AddEdge(0, 1)
+	f0 := relation.NewBuilder[bool](sb, h.Edge(0))
+	f0.AddOne(0, 1)
+	f1 := relation.NewBuilder[bool](sb, h.Edge(1))
+	f1.AddOne(1, 0)
+	q := faq.NewBCQ(h, []*relation.Relation[bool]{f0.Build(), f1.Build()}, 2)
+	one := &ghd.GHD{
+		H:        h,
+		Bags:     [][]int{{0, 1}},
+		Labels:   [][]int{{0, 1}},
+		Parent:   []int{-1},
+		Root:     0,
+		NodeOf:   []int{0, 0},
+		CoreRoot: -1,
+	}
+	if err := one.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := faq.BruteForce(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := RunOnGHD(&Setup[bool]{Q: q, G: topology.Line(1), Assign: Assignment{0, 0}, Output: 0}, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relation.Equal(sb, got, want) {
+		t.Fatalf("shared-node answer %v, brute force %v", got, want)
+	}
+
+	_, _, err = RunOnGHD(&Setup[bool]{Q: q, G: topology.Line(2), Assign: Assignment{0, 1}, Output: 0}, one)
+	if err == nil || !strings.Contains(err.Error(), "node 0") || !strings.Contains(err.Error(), "players 0 and 1") {
+		t.Fatalf("split shared node: error %v, want one naming node 0 and players 0 and 1", err)
 	}
 }
