@@ -161,6 +161,7 @@ test-workers:
 fuzz:
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzBuilderDuplicateMerge -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzJoinMergeParallel -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzHashKernels -fuzztime=$(FUZZTIME)
 	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzQueryBuilder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/delta/ -run=NONE -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME)
 	$(GO) test ./cmd/faqd/ -run=NONE -fuzz=FuzzAnswerJSON -fuzztime=$(FUZZTIME)

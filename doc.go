@@ -48,13 +48,17 @@
 // Semijoin/Project/Join work per star reduction, so per-tuple constant
 // factors multiply into end-to-end benchmark time. The kernel is
 // columnar (one flat []int32 row buffer per relation) and exploits the
-// sorted-tuple invariant: tuple keys of up to two columns are packed
-// into order-preserving uint64s (internal/keys), Join/Semijoin run a
-// galloping sorted-merge when the shared variables are a schema prefix
-// of both operands, Project/EliminateVar reduce contiguous runs without
-// maps when grouping by a schema prefix, and Builder batches row growth
-// (NewBuilderHint presizes from known cardinalities). The protocol
-// engine's converge-cast streams key on the same packed integers. The
+// sorted-tuple invariant: every keyed lookup, at any key width, goes
+// through one allocation-free hash key and chained table (internal/keys;
+// keys of up to two columns hash to their exact order-preserving packed
+// uint64, wider ones to a mixed word whose hits are column-verified),
+// Join/Semijoin run a galloping sorted-merge when the shared variables
+// are a schema prefix of both operands, Project/EliminateVar reduce
+// contiguous runs without maps when grouping by a schema prefix, and
+// Builder batches row growth (NewBuilderHint presizes from known
+// cardinalities). The protocol
+// engine's converge-cast streams key on the same packed integers up to
+// two columns and on injective big-endian strings beyond. The
 // micro-benchmarks in internal/relation/bench_test.go track these hot
 // paths; `make bench` regenerates BENCH_relation.json, the artifact
 // performance PRs diff against (before/after history in CHANGES.md).
@@ -74,8 +78,8 @@
 //     coordinator, and the paper's protocol engine.
 //   - The relation kernel partitions every hot operator once it touches
 //     ≥ 2^14 tuples and more than one worker is configured: the
-//     packed-key hash Join/Semijoin and EliminateVar's grouping pass
-//     split on keys.Chunk — the same hash the protocol uses to split
+//     hash Join/Semijoin and EliminateVar's grouping pass, at any key
+//     width, split on keys.Chunk — the same hash the protocol uses to split
 //     converge-cast streams — and merge in partition order; the
 //     sorted-merge Join/Semijoin range-split on shared-prefix key
 //     boundaries (binary-searched lower bounds, so no key group
@@ -164,8 +168,8 @@
 // protocol/netsim/plan/exec without collect-then-sort); ctxflow pins
 // cancellation propagation on the serving path (no fresh
 // context.Background/TODO or nil ctx mid-path); hotpath pins the
-// relation kernels' allocation discipline (no string-keyed state
-// outside the documented arity fallbacks); failpoint pins chaos-sweep
+// relation kernels' allocation discipline (no string-keyed state:
+// every key width goes through keys.Hash); failpoint pins chaos-sweep
 // coverage (unique <pkg>.<site> literals, every site referenced by a
 // TestChaos* suite, arming tests named TestChaos*). Intentional
 // exceptions are annotated in source with //faqlint:allow

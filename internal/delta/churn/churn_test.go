@@ -85,6 +85,36 @@ func TestChurnDifferential(t *testing.T) {
 	}
 }
 
+// wide4 is a test-local arity-4 template: consecutive edges share three
+// variables, so every join, group-by and cached delta index keys on a
+// word wider than one packed uint64, and MinPlus's recompute ledger
+// keys on whole arity-4 rows. It stays out of workload.Templates, whose
+// list the load generator and the benchmark read.
+var wide4 = workload.Template{Name: "wide4", Spec: "A,B,C,D;B,C,D,E;C,D,E,F;D,E,F,G", Free: []string{"A"}}
+
+// TestChurnWideKeys is the differential matrix on wide4 × every
+// semiring at 1/2/8 workers. A domain of 3 keeps the 3-column keys
+// dense enough (27 values) that joins match and deletes drain groups.
+func TestChurnWideKeys(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for _, d := range drivers() {
+			workers, d := workers, d
+			t.Run(d.name+"/w"+itoa(workers), func(t *testing.T) {
+				t.Parallel()
+				cfg := churn.Config{Seed: int64(4000 + workers), Ops: 1000, Dom: 3, Workers: workers}
+				mix, _ := churn.MixByName("uniform")
+				res := d.run(t, wide4, mix, cfg)
+				if res.Ops != cfg.Ops || res.Strategy != d.strategy {
+					t.Fatalf("ran %d of %d ops under %v, want %v", res.Ops, cfg.Ops, res.Strategy, d.strategy)
+				}
+				if res.Inserts == 0 || res.Deletes == 0 {
+					t.Fatalf("degenerate mix: %d inserts, %d deletes", res.Inserts, res.Deletes)
+				}
+			})
+		}
+	}
+}
+
 // TestChurnAdversarialMixes drives the named adversarial distributions
 // — drain-to-empty, duplicate reinsertion, single-leaf hammering, and
 // root-bag churn — across representative strategies and both an

@@ -581,9 +581,6 @@ func (m *Materialized[T]) joinAt(site [3]int32, small, big *relation.Relation[T]
 	ix := m.jidx[site]
 	if !relation.IndexValidFor(ix, big, shared) {
 		ix = relation.BuildHashIndex(big, shared)
-		if ix == nil {
-			return relation.Join(m.s, small, big)
-		}
 		m.jidx[site] = ix
 	}
 	return relation.JoinIndexed(m.s, small, big, ix)

@@ -15,9 +15,10 @@ import (
 // contribution per listed tuple (its merged annotation).
 //
 // entries is the iteration source (insertion order, deterministic);
-// index is lookup-only, so the mapiter determinism contract holds.
+// index chains entry i under keys.Hash of its row and is lookup-only,
+// with every candidate confirmed against entries[i].row.
 type ledger[T any] struct {
-	index   map[string]int
+	index   keys.Table
 	entries []ledgerEntry[T]
 }
 
@@ -26,13 +27,15 @@ type ledgerEntry[T any] struct {
 	vals []T // contribution multiset, insertion order
 }
 
+func newLedger[T any](n int) *ledger[T] {
+	return &ledger[T]{index: keys.NewTable(n), entries: make([]ledgerEntry[T], 0, n)}
+}
+
 // ledgerOf seeds a ledger from an existing relation.
 func ledgerOf[T any](f *relation.Relation[T]) *ledger[T] {
-	lg := &ledger[T]{index: make(map[string]int, f.Len())}
+	lg := newLedger[T](f.Len())
 	for i := 0; i < f.Len(); i++ {
-		row := append([]int32(nil), f.Tuple(i)...)
-		lg.index[keys.EncodeCols(row, nil)] = len(lg.entries)
-		lg.entries = append(lg.entries, ledgerEntry[T]{row: row, vals: []T{f.Value(i)}})
+		lg.add(append([]int32(nil), f.Tuple(i)...), []T{f.Value(i)})
 	}
 	return lg
 }
@@ -40,15 +43,27 @@ func ledgerOf[T any](f *relation.Relation[T]) *ledger[T] {
 // clone deep-copies the ledger (copy-on-write staging: a failed update
 // must leave the committed ledger untouched).
 func (lg *ledger[T]) clone() *ledger[T] {
-	out := &ledger[T]{
-		index:   make(map[string]int, len(lg.index)),
-		entries: make([]ledgerEntry[T], len(lg.entries)),
-	}
-	for i, e := range lg.entries {
-		out.index[keys.EncodeCols(e.row, nil)] = i
-		out.entries[i] = ledgerEntry[T]{row: e.row, vals: append([]T(nil), e.vals...)}
+	out := newLedger[T](len(lg.entries))
+	for _, e := range lg.entries {
+		out.add(e.row, append([]T(nil), e.vals...))
 	}
 	return out
+}
+
+// add appends an entry for a row not yet listed.
+func (lg *ledger[T]) add(row []int32, vals []T) {
+	lg.index.Add(keys.Hash(row, nil))
+	lg.entries = append(lg.entries, ledgerEntry[T]{row: row, vals: vals})
+}
+
+// find returns the index of the entry listing row, or -1.
+func (lg *ledger[T]) find(row []int32) int {
+	for i := lg.index.First(keys.Hash(row, nil)); i >= 0; i = lg.index.Next(i) {
+		if keys.EqualCols(lg.entries[i].row, nil, row, nil) {
+			return int(i)
+		}
+	}
+	return -1
 }
 
 func rowOf(t []int) []int32 {
@@ -62,22 +77,19 @@ func rowOf(t []int) []int32 {
 // insert appends one contribution for the tuple.
 func (lg *ledger[T]) insert(t []int, val T) {
 	row := rowOf(t)
-	k := keys.EncodeCols(row, nil)
-	if i, ok := lg.index[k]; ok {
+	if i := lg.find(row); i >= 0 {
 		lg.entries[i].vals = append(lg.entries[i].vals, val)
 		return
 	}
-	lg.index[k] = len(lg.entries)
-	lg.entries = append(lg.entries, ledgerEntry[T]{row: row, vals: []T{val}})
+	lg.add(row, []T{val})
 }
 
 // remove deletes one semiring-equal contribution of the tuple,
 // reporting false when none is listed. Emptied entries remain as
 // tombstones (build skips them); the index stays intact.
 func (lg *ledger[T]) remove(s semiring.Semiring[T], t []int, val T) bool {
-	row := rowOf(t)
-	i, ok := lg.index[keys.EncodeCols(row, nil)]
-	if !ok {
+	i := lg.find(rowOf(t))
+	if i < 0 {
 		return false
 	}
 	vals := lg.entries[i].vals

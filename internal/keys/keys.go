@@ -1,14 +1,20 @@
-// Package keys provides the fixed-width tuple-key codecs shared by the
-// relation kernel and the protocol engine.
+// Package keys provides the one tuple-key scheme shared by the relation
+// kernel, the shard placement and the incremental views.
 //
 // The hot paths of the paper's evaluation — Join/Semijoin/EliminateVar
 // inside every star reduction of Theorem 4.1, and the keyed
 // converge-casts of Theorem 3.11 — all need to identify tuples by a
-// subset of their columns. Packing up to two int32 attribute values into
-// one uint64 keeps those lookups allocation-free and lets sorted-merge
-// code compare keys with a single integer comparison; the big-endian
-// string codec remains as the arbitrary-arity fallback and as the wire
-// encoding of converge-cast items.
+// subset of their columns, at any O(1) width. Every such lookup goes
+// through one scheme:
+//
+//   - Hash maps the selected columns to a uint64 without allocating. Up
+//     to MaxPacked columns it is the exact, order-preserving PackCols
+//     word; wider keys are mixed into one word and may collide.
+//   - Table chains ids by that hash. A chain lists candidates only: a
+//     caller counts a hit after EqualCols confirms the columns, so a
+//     collision can never merge two distinct tuples.
+//   - Chunk places a key on one of n chunks (shards, partitions,
+//     Steiner trees) by FNV-1a over the columns' big-endian bytes.
 //
 // Packed keys are order-preserving: if tuple u precedes tuple v in the
 // lexicographic (signed int32) order the relations maintain, then
@@ -16,11 +22,7 @@
 // sort and merge on packed keys directly.
 package keys
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math/bits"
-)
+import "math/bits"
 
 // MaxPacked is the largest number of int32 columns a uint64 key can hold.
 const MaxPacked = 2
@@ -71,67 +73,128 @@ func PackCols(t []int32, cols []int) uint64 {
 	panic("keys: PackCols on more than MaxPacked columns")
 }
 
-// Encode packs int32 values into a big-endian string key; sorting keys
-// sorts the tuples lexicographically on the raw uint32 bit patterns
-// (attribute values are domain indices ≥ 0, where the two orders agree).
-func Encode(vals ...int32) string {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return string(buf)
-}
+// hashMul is an odd 64-bit multiplier (2⁶⁴/φ): multiplying by it is a
+// bijection on uint64 that spreads low-bit differences upward.
+const hashMul = 0x9e3779b97f4a7c15
 
-// EncodeCols encodes selected columns (all columns when cols is nil) of
-// a tuple as a string key.
-func EncodeCols(t []int32, cols []int) string {
+// Hash returns the lookup key of the selected columns of t (all columns
+// when cols is nil). Up to MaxPacked columns it is exactly PackCols, so
+// it is injective there; wider keys fold every column into one word and
+// may collide, which is why Table callers confirm hits with EqualCols.
+func Hash(t []int32, cols []int) uint64 {
+	n := len(cols)
 	if cols == nil {
-		return Encode(t...)
+		n = len(t)
 	}
-	buf := make([]byte, 4*len(cols))
-	for i, c := range cols {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(t[c]))
+	if n <= MaxPacked {
+		return PackCols(t, cols)
 	}
-	return string(buf)
+	var h uint64
+	for i := 0; i < n; i++ {
+		h = (h ^ Pack1(col(t, cols, i))) * hashMul
+		h ^= h >> 32
+	}
+	return h
 }
 
-// ChunkString deterministically assigns a string key to one of n chunks
-// (every player computes this locally; it mirrors the paper's splitting
-// of Dom(A) across the directed paths W₁, W₂ in Example 2.3).
-func ChunkString(key string, n int) int {
+// EqualCols reports whether t's columns tcols equal u's columns ucols
+// pairwise (nil selects all columns; both sides have the same width).
+func EqualCols(t []int32, tcols []int, u []int32, ucols []int) bool {
+	n := len(tcols)
+	if tcols == nil {
+		n = len(t)
+	}
+	for i := 0; i < n; i++ {
+		if col(t, tcols, i) != col(u, ucols, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// col returns the i-th selected column of t (column i when cols is nil).
+func col(t []int32, cols []int, i int) int32 {
+	if cols == nil {
+		return t[i]
+	}
+	return t[cols[i]]
+}
+
+// FNV-1a (32-bit) parameters.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+// Chunk deterministically assigns the selected columns of t (all
+// columns when cols is nil) to one of n chunks: FNV-1a over the
+// columns' big-endian bytes, mod n. Every player and worker computes
+// this locally; it mirrors the paper's splitting of Dom(A) across the
+// directed paths W₁, W₂ in Example 2.3.
+func Chunk(t []int32, cols []int, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	w := len(cols)
+	if cols == nil {
+		w = len(t)
+	}
+	h := uint32(fnvOffset)
+	for i := 0; i < w; i++ {
+		v := uint32(col(t, cols, i))
+		for shift := 24; shift >= 0; shift -= 8 {
+			h ^= uint32(byte(v >> shift))
+			h *= fnvPrime
+		}
+	}
+	return int(h % uint32(n))
 }
 
-// Chunk assigns a packed key of ncols columns to one of n chunks. It
-// hashes the same big-endian bytes ChunkString sees for the equivalent
-// string key, so packed and string codecs agree on chunk placement.
-func Chunk(k uint64, ncols, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	var buf [8]byte
-	switch ncols {
-	case 0:
-		// Zero columns: hash the empty byte string, like ChunkString("").
-	case 1:
-		binary.BigEndian.PutUint32(buf[:4], uint32(Unpack1(k)))
-	case 2:
-		x, y := Unpack2(k)
-		binary.BigEndian.PutUint32(buf[:4], uint32(x))
-		binary.BigEndian.PutUint32(buf[4:], uint32(y))
-	default:
-		//faqlint:allow nopanic(programmer-error precondition: callers gate on MaxPacked before chunking)
-		panic("keys: Chunk on more than MaxPacked columns")
-	}
-	h := fnv.New32a()
-	h.Write(buf[:4*ncols])
-	return int(h.Sum32() % uint32(n))
+// Table is the chained hash table every keyed lookup goes through:
+// head maps a Hash value to the oldest id chained under it, next links
+// each id to the following one under the same hash (-1 ends a chain),
+// and tail[first] is the newest id of the chain starting at first. Ids
+// are dense, assigned 0, 1, 2, … by Add, so callers keep per-id state
+// in parallel slices; a chain lists its ids in ascending order, which
+// keeps probe output in input order. A chain holds candidates only.
+type Table struct {
+	head map[uint64]int32
+	next []int32
+	tail []int32
 }
+
+// NewTable returns a table presized for n ids.
+func NewTable(n int) Table {
+	return Table{head: make(map[uint64]int32, n), next: make([]int32, 0, n), tail: make([]int32, 0, n)}
+}
+
+// Add appends the next id to the chain of hash h and returns it.
+func (t *Table) Add(h uint64) int32 {
+	id := int32(len(t.next))
+	t.next = append(t.next, -1)
+	t.tail = append(t.tail, id)
+	if first, ok := t.head[h]; ok {
+		t.next[t.tail[first]] = id
+		t.tail[first] = id
+	} else {
+		t.head[h] = id
+	}
+	return id
+}
+
+// First returns the oldest id chained under h, or -1.
+func (t *Table) First(h uint64) int32 {
+	if id, ok := t.head[h]; ok {
+		return id
+	}
+	return -1
+}
+
+// Next returns the id chained after id, or -1 at the chain's end.
+func (t *Table) Next(id int32) int32 { return t.next[id] }
+
+// Len returns the number of ids added.
+func (t *Table) Len() int { return len(t.next) }
 
 // Bits returns the number of bits needed to represent x (at least 1),
 // the channel-cost helper used when sizing protocol items.

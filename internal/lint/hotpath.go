@@ -22,15 +22,16 @@ func DefaultHotPathConfig() HotPathConfig {
 }
 
 // NewHotPath builds the hotpath analyzer: no string-keyed map state
-// and no string-concatenation keys inside kernel function bodies. The
-// documented arity>MaxPacked fallbacks are annotated in source with
-// //faqlint:allow hotpath(reason) — keeping every exception visible at
-// the site it costs at — so any *new* string-keyed state is a build
-// failure, pinning PR 1's allocation win against regression.
+// and no string-concatenation keys inside kernel function bodies. Every
+// kernel lookup, at any key width, goes through keys.Hash and a
+// keys.Table, so string-keyed state has no sanctioned use left; an
+// exception would need //faqlint:allow hotpath(reason) at the site it
+// costs at. This pins the kernels' allocation discipline against
+// regression.
 func NewHotPath(cfg HotPathConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "hotpath",
-		Doc:  "no string-keyed maps or string-concatenation keys in kernel functions outside the documented arity fallbacks",
+		Doc:  "no string-keyed maps or string-concatenation keys in kernel functions",
 	}
 	a.Run = func(pass *Pass) error {
 		if !matchPackage(cfg.Packages, pass.Pkg.ImportPath) {
@@ -59,7 +60,7 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl) {
 		case *ast.MapType:
 			if isStringType(pass.Pkg.Info.TypeOf(n.Key)) {
 				pass.Reportf(n.Pos(),
-					"string-keyed map state in a kernel function: pack the key columns (internal/keys) or annotate the documented fallback with //faqlint:allow hotpath(reason)")
+					"string-keyed map state in a kernel function: key the columns with keys.Hash and a keys.Table (internal/keys) or annotate with //faqlint:allow hotpath(reason)")
 			}
 		case *ast.IndexExpr:
 			// String concatenation building a map key at the index
@@ -70,7 +71,7 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl) {
 			if bin, ok := n.Index.(*ast.BinaryExpr); ok && bin.Op == token.ADD &&
 				isStringType(pass.Pkg.Info.TypeOf(bin)) {
 				pass.Reportf(bin.Pos(),
-					"string-concatenation map key on a kernel path: pack the key columns (internal/keys) or annotate with //faqlint:allow hotpath(reason)")
+					"string-concatenation map key on a kernel path: key the columns with keys.Hash and a keys.Table (internal/keys) or annotate with //faqlint:allow hotpath(reason)")
 			}
 		}
 		return true

@@ -20,9 +20,9 @@ func packedState(n int) int {
 	return len(seen)
 }
 
-// annotatedFallback is a documented arity fallback: must not flag.
+// annotatedFallback is an annotated exception: must not flag.
 func annotatedFallback(n int) int {
-	//faqlint:allow hotpath(fixture: documented arity fallback off the hot path)
+	//faqlint:allow hotpath(fixture: annotated exception off the hot path)
 	seen := make(map[string]int, n)
 	return len(seen)
 }

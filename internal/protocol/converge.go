@@ -18,8 +18,10 @@ import (
 // tree is a path.
 //
 // Streams are generic in the key type: packed uint64 keys carry tuples
-// of ≤ keys.MaxPacked columns (and tuple indices) allocation-free, while
-// big-endian string keys remain the arbitrary-arity fallback.
+// of ≤ keys.MaxPacked columns (and tuple indices) allocation-free, and
+// wider tuples travel as big-endian string keys. Items are sorted,
+// deduplicated and costed on the wire, so both keys are injective —
+// never a hash (see keyCodec).
 
 // timedValue is a value annotated with the round at which it became
 // available at the current node.

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -32,10 +33,13 @@ type runner[T any] struct {
 }
 
 // keyCodec encodes tuple columns as converge-cast keys of type K and
-// assigns keys to Steiner-tree chunks. The uint64 codec covers tuples of
-// ≤ keys.MaxPacked columns (and tuple indices) without allocating; the
-// string codec is the arbitrary-arity fallback. Both chunk identically
-// (keys.Chunk hashes the same bytes keys.ChunkString sees).
+// assigns keys to Steiner-tree chunks. Converge-cast keys are the
+// paper's wire items — sorted, deduplicated and costed as items — so
+// they must be injective, never a hash: the uint64 codec packs tuples
+// of ≤ keys.MaxPacked columns (and tuple indices) without allocating,
+// and wider tuples use a private big-endian string key. Both chunk
+// through keys.Chunk on the key's columns, so a key lands exactly where
+// keys.Chunk places the same columns in a shard or partition.
 type keyCodec[K cmp.Ordered] struct {
 	encode func(t []int32, cols []int) K
 	chunk  func(k K, n int) int
@@ -44,15 +48,52 @@ type keyCodec[K cmp.Ordered] struct {
 func u64Codec(ncols int) keyCodec[uint64] {
 	return keyCodec[uint64]{
 		encode: func(t []int32, cols []int) uint64 { return keys.PackCols(t, cols) },
-		chunk:  func(k uint64, n int) int { return keys.Chunk(k, ncols, n) },
+		chunk: func(k uint64, n int) int {
+			x, y := keys.Unpack2(k)
+			t := [2]int32{x, y}
+			return keys.Chunk(t[2-ncols:], nil, n)
+		},
 	}
 }
 
 func strCodec() keyCodec[string] {
 	return keyCodec[string]{
-		encode: keys.EncodeCols,
-		chunk:  keys.ChunkString,
+		encode: encodeCols,
+		chunk: func(k string, n int) int {
+			t := make([]int32, len(k)/4)
+			for i := range t {
+				t[i] = int32(binary.BigEndian.Uint32([]byte(k[4*i : 4*i+4])))
+			}
+			return keys.Chunk(t, nil, n)
+		},
 	}
+}
+
+// encodeCols encodes selected columns (all columns when cols is nil) of
+// a tuple as a big-endian string key; sorting keys sorts the tuples
+// lexicographically on the raw uint32 bit patterns (attribute values
+// are domain indices ≥ 0, where the two orders agree).
+func encodeCols(t []int32, cols []int) string {
+	n := len(cols)
+	if cols == nil {
+		n = len(t)
+	}
+	buf := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		c := i
+		if cols != nil {
+			c = cols[i]
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(t[c]))
+	}
+	return string(buf)
+}
+
+// chunkOf places a one-column key (a domain value or a tuple index)
+// with keys.Chunk.
+func chunkOf(x, n int) int {
+	t := [1]int32{int32(x)}
+	return keys.Chunk(t[:], nil, n)
 }
 
 // Run executes the main protocol end to end and returns the answer
@@ -325,7 +366,7 @@ func generalStar[T any](r *runner[T], v int, children []int, msgs map[int]*relat
 	// same key-hash chunking the converge phase uses (one counting pass).
 	chunkCount := make([]int, len(packing))
 	for i := 0; i < center.Len(); i++ {
-		chunkCount[keys.Chunk(keys.Pack1(int32(i)), 1, len(packing))]++
+		chunkCount[chunkOf(i, len(packing))]++
 	}
 	broadcastDone := make([]int, len(packing))
 	for ti, st := range packing {
@@ -365,7 +406,7 @@ func generalStar[T any](r *runner[T], v int, children []int, msgs map[int]*relat
 		} else {
 			lookup := relationToMap(msgs[c], strCodec())
 			for i := 0; i < center.Len(); i++ {
-				if val, ok := lookup[keys.EncodeCols(center.Tuple(i), cols)]; ok {
+				if val, ok := lookup[encodeCols(center.Tuple(i), cols)]; ok {
 					vec[keys.Pack1(int32(i))] = val
 				}
 			}

@@ -99,9 +99,8 @@ func SetIntersection(in *SetIntersectionInput) ([]int, Report, error) {
 				}
 				m := make(map[uint64]bool, len(s))
 				for _, x := range s {
-					k := keys.Pack1(int32(x))
-					if keys.Chunk(k, 1, len(packing)) == ti {
-						m[k] = true
+					if chunkOf(x, len(packing)) == ti {
+						m[keys.Pack1(int32(x))] = true
 					}
 				}
 				return m

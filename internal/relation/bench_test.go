@@ -20,11 +20,22 @@ var benchSizes = []int{1_000, 10_000, 100_000}
 // benchRel builds a relation R(v0, v1) with n random tuples drawn from a
 // domain sized so that joins stay selective but non-trivial.
 func benchRel(schema []int, n int, seed int64) *Relation[float64] {
-	r := rand.New(rand.NewSource(seed))
 	dom := n / 4
 	if dom < 4 {
 		dom = 4
 	}
+	return benchRelDom(schema, n, dom, seed)
+}
+
+// wideDom is the domain of the wide-key cases: arity-4 relations over
+// dom 46 keep a 3-column key (46³ ≈ 97k values) near one match per
+// probe at n = 1e5, the shape of the wide4 workload class.
+const wideDom = 46
+
+// benchRelDom builds a relation over schema with n random tuples drawn
+// from [0, dom).
+func benchRelDom(schema []int, n, dom int, seed int64) *Relation[float64] {
+	r := rand.New(rand.NewSource(seed))
 	b := NewBuilder[float64](semiring.SumProduct{}, schema)
 	tuple := make([]int, len(schema))
 	for i := 0; i < n; i++ {
@@ -44,6 +55,18 @@ func BenchmarkJoin(b *testing.B) {
 			// but not on R — exercises the general path.
 			left := benchRel([]int{0, 1}, n, 1)
 			right := benchRel([]int{1, 2}, n, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Join(s, left, right)
+			}
+		})
+		b.Run(fmt.Sprintf("wide/n=%d", n), func(b *testing.B) {
+			s := semiring.SumProduct{}
+			// R(0,1,2,3) ⋈ S(1,2,3,4): three shared columns, not a
+			// prefix of R — the hash join on a key wider than one word.
+			left := benchRelDom([]int{0, 1, 2, 3}, n, wideDom, 1)
+			right := benchRelDom([]int{1, 2, 3, 4}, n, wideDom, 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -82,6 +105,16 @@ func BenchmarkSemijoin(b *testing.B) {
 				Semijoin(s, left, right)
 			}
 		})
+		b.Run(fmt.Sprintf("wide/n=%d", n), func(b *testing.B) {
+			s := semiring.SumProduct{}
+			left := benchRelDom([]int{0, 1, 2, 3}, n, wideDom, 1)
+			right := benchRelDom([]int{1, 2, 3, 4}, n, wideDom, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Semijoin(s, left, right)
+			}
+		})
 	}
 }
 
@@ -111,6 +144,34 @@ func BenchmarkEliminateVar(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := EliminateVar(s, rel, 2, op, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("group2/n=%d", n), func(b *testing.B) {
+			s := semiring.SumProduct{}
+			// Eliminating the leading variable of R(0,1,2) groups on
+			// the two remaining columns: the hash group-by at one word.
+			rel := benchRel([]int{0, 1, 2}, n, 4)
+			op := semiring.AddOf[float64](s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EliminateVar(s, rel, 0, op, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("wide/n=%d", n), func(b *testing.B) {
+			s := semiring.SumProduct{}
+			// Eliminating the leading variable of R(0,1,2,3) groups on
+			// the three remaining columns.
+			rel := benchRelDom([]int{0, 1, 2, 3}, n, wideDom, 4)
+			op := semiring.AddOf[float64](s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EliminateVar(s, rel, 0, op, wideDom); err != nil {
 					b.Fatal(err)
 				}
 			}

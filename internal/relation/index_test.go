@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/hypergraph"
 	"repro/internal/semiring"
 )
 
@@ -158,22 +159,53 @@ func TestJoinIndexedMatchesJoin(t *testing.T) {
 	}
 }
 
-// TestBuildHashIndexUnpackable pins the documented nil cases: empty
-// key, wide key, empty relation — all of which JoinIndexed must survive
-// by falling back.
+// TestBuildHashIndexUnpackable: keys that do not pack into one uint64
+// (wider than keys.MaxPacked), the empty key and the empty relation all
+// index, and JoinIndexed through them is bit-identical to Join — also
+// across a value-only patch, which keeps the wide index valid. Only a
+// nil index (or a key variable missing from the schema) falls back.
 func TestBuildHashIndexUnpackable(t *testing.T) {
 	s := semiring.Count{}
-	r := randRel(rand.New(rand.NewSource(3)), s, []int{0, 1, 2}, 10, 4)
-	if BuildHashIndex(r, nil) != nil {
-		t.Fatal("empty key must not index")
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		big := randRel(rng, s, []int{0, 1, 2, 3}, 5+rng.Intn(60), 3)
+		for _, small := range []*Relation[int64]{
+			randRel(rng, s, []int{1, 2, 3, 4}, 1+rng.Intn(8), 3), // 3 shared columns
+			randRel(rng, s, []int{0, 1, 2, 3}, 1+rng.Intn(8), 3), // 4 shared columns
+			randRel(rng, s, []int{5}, 1+rng.Intn(3), 3),          // no shared column
+		} {
+			shared := hypergraph.IntersectSorted(small.Schema(), big.Schema())
+			ix := BuildHashIndex(big, shared)
+			if ix == nil || !IndexValidFor(ix, big, shared) {
+				t.Fatalf("trial %d: key %v must index", trial, shared)
+			}
+			if !bitIdentical(JoinIndexed(s, small, big, ix), Join(s, small, big)) {
+				t.Fatalf("trial %d: JoinIndexed on key %v diverges from Join", trial, shared)
+			}
+			db := NewBuilder(s, big.Schema())
+			db.AddRow(big.Tuple(rng.Intn(big.Len())), 2)
+			patched, err := PatchAdd(s, big, db.Build(), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !IndexValidFor(ix, patched, shared) {
+				t.Fatalf("trial %d: value-only patch invalidated the key %v index", trial, shared)
+			}
+			if !bitIdentical(JoinIndexed(s, small, patched, ix), Join(s, small, patched)) {
+				t.Fatalf("trial %d: JoinIndexed on key %v diverges after patch", trial, shared)
+			}
+		}
 	}
-	if BuildHashIndex(r, []int{0, 1, 2}) != nil {
-		t.Fatal("key wider than MaxPacked must not index")
+	empty := Empty[int64]([]int{0, 1, 2, 3})
+	probe := randRel(rng, s, []int{1, 2, 3, 4}, 10, 3)
+	if ix := BuildHashIndex(empty, []int{1, 2, 3}); ix == nil || JoinIndexed(s, probe, empty, ix).Len() != 0 {
+		t.Fatal("empty relation must index and join to nothing")
 	}
-	if BuildHashIndex(Empty[int64](r.Schema()), []int{0}) != nil {
-		t.Fatal("empty relation must not index")
+	if BuildHashIndex(empty, []int{9}) != nil {
+		t.Fatal("key variable outside the schema must not index")
 	}
 	small := randRel(rand.New(rand.NewSource(4)), s, []int{2, 3}, 3, 4)
+	r := randRel(rand.New(rand.NewSource(5)), s, []int{0, 1, 2}, 10, 4)
 	if !Equal(s, JoinIndexed(s, small, r, nil), Join(s, small, r)) {
 		t.Fatal("nil-index fallback diverges from Join")
 	}

@@ -3,7 +3,6 @@ package relation
 import (
 	"repro/internal/fault"
 	"repro/internal/hypergraph"
-	"repro/internal/keys"
 	"repro/internal/semiring"
 )
 
@@ -20,8 +19,8 @@ var (
 // protocol's same-key reductions, where schemas are sorted and the
 // shared variables are the smallest ids — both operands are already
 // sorted by the join key and a galloping sorted-merge needs no index at
-// all. Otherwise a hash join on packed uint64 keys (≤ 2 shared columns)
-// or big-endian string keys (wider, off the hot path) is used.
+// all. Otherwise a hash join probes a HashIndex of b, whatever the
+// number of shared columns.
 
 // compareShared lexicographically compares the first p columns of two
 // rows.
@@ -132,10 +131,8 @@ func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 		}
 		return joinMerge(s, a, b, p)
 	}
-	if len(shared) >= 1 && len(shared) <= keys.MaxPacked {
-		if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
-			return joinHashParallel(s, a, b, shared, parts)
-		}
+	if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
+		return joinHashParallel(s, a, b, shared, parts)
 	}
 	return joinHash(s, a, b, shared)
 }
@@ -219,98 +216,35 @@ func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, src
 	return rows, vals
 }
 
-// mergeEmit wraps a merge join's generated rows into a relation: the
-// ordered orientation is already the output's lexicographic order, the
-// unordered one re-sorts through the Builder (whose ⊕-merge sees the
-// rows in exactly the generation order, keeping duplicate combination
-// order identical across sequential and parallel paths).
+// mergeEmit wraps a join's generated rows (freshly allocated, so the
+// Builder takes them over) into a relation: the ordered orientation is
+// already the output's lexicographic order, the unordered one re-sorts
+// through the Builder (whose ⊕-merge sees the rows in exactly the
+// generation order, keeping duplicate combination order identical
+// across sequential and parallel paths).
 func mergeEmit[T any](s semiring.Semiring[T], outSchema []int, ordered bool, rows []int32, vals []T) *Relation[T] {
 	if ordered {
 		return fromSorted(outSchema, rows, vals)
 	}
-	bld := NewBuilderHint(s, outSchema, len(vals))
-	bld.rows = append(bld.rows, rows...)
-	bld.vals = append(bld.vals, vals...)
+	bld := NewBuilder(s, outSchema)
+	bld.rows, bld.vals = rows, vals
 	return bld.Build()
 }
 
-// joinHash indexes b on the shared columns — packed uint64 keys for ≤ 2
-// shared columns, string keys beyond — and probes with a's tuples. The
-// per-key tuple lists are intrusive chains over one []int32, so the
-// index costs two allocations regardless of b's size.
+// joinHash indexes b on the shared columns (a HashIndex: keys.Hash
+// chains, two allocations regardless of b's size) and probes it with
+// a's tuples.
 func joinHash[T any](s semiring.Semiring[T], a, b *Relation[T], shared []int) *Relation[T] {
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
-	srcs := outputSrcs(outSchema, a.schema, b.schema)
 	aCols, _ := columnsOf(a.schema, shared)
 	bCols, _ := columnsOf(b.schema, shared)
-	na, nb := a.Len(), b.Len()
-
-	out := NewBuilderHint(s, outSchema, maxLen(na, nb))
-	scratch := make([]int32, len(outSchema))
-	emit := func(x, y int) {
-		v := s.Mul(a.vals[x], b.vals[y])
-		if s.IsZero(v) {
-			return
-		}
-		ta, tb := a.Tuple(x), b.Tuple(y)
-		for k, sc := range srcs {
-			if sc.fromA {
-				scratch[k] = ta[sc.col]
-			} else {
-				scratch[k] = tb[sc.col]
-			}
-		}
-		out.AddRow(scratch, v)
-	}
-
-	if len(shared) <= keys.MaxPacked {
-		divN := 0
-		if len(shared) >= 1 {
-			divN = na + nb // joinHashParallel is the partitioned twin
-		}
-		markDivisible(divN, func() {
-			head := make(map[uint64]int32, nb)
-			next := make([]int32, nb)
-			for i := nb - 1; i >= 0; i-- {
-				k := keys.PackCols(b.Tuple(i), bCols)
-				if h, ok := head[k]; ok {
-					next[i] = h
-				} else {
-					next[i] = -1
-				}
-				head[k] = int32(i)
-			}
-			for i := 0; i < na; i++ {
-				if h, ok := head[keys.PackCols(a.Tuple(i), aCols)]; ok {
-					for j := h; j >= 0; j = next[j] {
-						emit(i, int(j))
-					}
-				}
-			}
-		})
-		return out.Build()
-	}
-
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	head := make(map[string]int32, nb)
-	next := make([]int32, nb)
-	for i := nb - 1; i >= 0; i-- {
-		k := keys.EncodeCols(b.Tuple(i), bCols)
-		if h, ok := head[k]; ok {
-			next[i] = h
-		} else {
-			next[i] = -1
-		}
-		head[k] = int32(i)
-	}
-	for i := 0; i < na; i++ {
-		if h, ok := head[keys.EncodeCols(a.Tuple(i), aCols)]; ok {
-			for j := h; j >= 0; j = next[j] {
-				emit(i, int(j))
-			}
-		}
-	}
-	return out.Build()
+	var rows []int32
+	var vals []T
+	markDivisible(a.Len()+b.Len(), func() { // joinHashParallel is the partitioned twin
+		ixs := []*HashIndex{indexRows(b, bCols, nil)}
+		rows, vals = joinProbe(s, a, b, aCols, ixs, outputSrcs(outSchema, a.schema, b.schema), 0, a.Len())
+	})
+	return mergeEmit(s, outSchema, false, rows, vals)
 }
 
 // Semijoin returns a ⋉ b (Definition 3.5 with set semantics on the
@@ -330,10 +264,8 @@ func Semijoin[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 		}
 		return semijoinMerge(a, b, p)
 	}
-	if len(shared) >= 1 && len(shared) <= keys.MaxPacked {
-		if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
-			return semijoinHashParallel(a, b, shared, parts)
-		}
+	if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
+		return semijoinHashParallel(a, b, shared, parts)
 	}
 	return semijoinHash(a, b, shared)
 }
@@ -381,43 +313,17 @@ func semijoinMergeRange[T any](a, b *Relation[T], p, aLo, aHi, bLo, bHi int) ([]
 	return rows, vals
 }
 
+// semijoinHash filters a against a HashIndex of b on the shared
+// columns; the output keeps a's row order, already sorted.
 func semijoinHash[T any](a, b *Relation[T], shared []int) *Relation[T] {
 	aCols, _ := columnsOf(a.schema, shared)
 	bCols, _ := columnsOf(b.schema, shared)
-	out := &Relation[T]{schema: a.schema}
-
-	if len(shared) <= keys.MaxPacked {
-		divN := 0
-		if len(shared) >= 1 {
-			divN = a.Len() + b.Len() // semijoinHashParallel is the partitioned twin
-		}
-		markDivisible(divN, func() {
-			seen := make(map[uint64]struct{}, b.Len())
-			for i := 0; i < b.Len(); i++ {
-				seen[keys.PackCols(b.Tuple(i), bCols)] = struct{}{}
-			}
-			for i := 0; i < a.Len(); i++ {
-				if _, ok := seen[keys.PackCols(a.Tuple(i), aCols)]; ok {
-					out.rows = append(out.rows, a.Tuple(i)...)
-					out.vals = append(out.vals, a.vals[i])
-				}
-			}
-		})
-		return out
-	}
-
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	seen := make(map[string]struct{}, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		seen[keys.EncodeCols(b.Tuple(i), bCols)] = struct{}{}
-	}
-	for i := 0; i < a.Len(); i++ {
-		if _, ok := seen[keys.EncodeCols(a.Tuple(i), aCols)]; ok {
-			out.rows = append(out.rows, a.Tuple(i)...)
-			out.vals = append(out.vals, a.vals[i])
-		}
-	}
-	return out
+	var rows []int32
+	var vals []T
+	markDivisible(a.Len()+b.Len(), func() { // semijoinHashParallel is the partitioned twin
+		rows, vals = semijoinProbe(a, aCols, []*HashIndex{indexRows(b, bCols, nil)}, 0, a.Len())
+	})
+	return fromSorted(a.schema, rows, vals)
 }
 
 // joinNestedLoop is the O(|a|·|b|) reference implementation used by the

@@ -9,32 +9,18 @@ import (
 	"repro/internal/semiring"
 )
 
-// sortByKey sorts a group permutation by packed key (keys are unique, so
-// no tiebreak is needed).
-func sortByKey(order []int32, gkeys []uint64) {
-	slices.SortFunc(order, func(x, y int32) int {
-		if gkeys[x] < gkeys[y] {
-			return -1
-		}
-		if gkeys[x] > gkeys[y] {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Parallel partitioned variants of the packed-key hash join and of
-// EliminateVar's packed grouping pass. Both partition tuples with
-// keys.Chunk on the operation's key columns — the same hash the protocol
-// layer uses to split converge-cast streams across Steiner trees — run
-// the partitions on the exec worker pool, and merge the per-partition
-// outputs in partition order through a single Build.
+// Parallel partitioned variants of the hash join, the hash semijoin and
+// EliminateVar's grouping pass, at any key width. All three partition
+// tuples with keys.Chunk on the operation's key columns — the same hash
+// the protocol layer uses to split converge-cast streams across Steiner
+// trees — and run the partitions on the exec worker pool.
 //
-// Bit-identical guarantee: equal keys land in the same partition, and
-// each partition scans its tuple list in ascending input order, so every
-// duplicate group reaches Build's ⊕-merge in exactly the order the
-// sequential operator produces. Build then sorts by key, making the
-// final layout independent of the partitioning altogether. The
+// Bit-identical guarantee: equal keys land in the same partition. The
+// joins index b per partition and probe with contiguous blocks of a,
+// so block outputs concatenate into the sequential generation order.
+// The grouping pass scans each partition's tuple list in ascending
+// input order, so every group folds in exactly the sequential order,
+// and the final emit sorts the (globally unique) group keys. The
 // equivalence tests in parallel_test.go pin this per semiring.
 
 // parallelMinTuples is the size threshold below which partitioned
@@ -77,16 +63,12 @@ func markDivisible(n int, f func()) {
 }
 
 // partitionByKey buckets tuple indices of r by keys.Chunk of the given
-// key columns, returning for each partition the ascending tuple indices
-// and, aligned with them, the tuples' packed keys (computed once here;
-// the join/grouping passes reuse them instead of re-packing). The key
-// computation fans out across the pool in blocks; the bucket fill is one
-// sequential counting pass, so every bucket lists its indices in
-// ascending order.
-func partitionByKey[T any](pool *exec.Pool, r *Relation[T], cols []int, parts int) ([][]int32, [][]uint64) {
+// key columns, returning for each partition its ascending tuple
+// indices. The chunk computation fans out across the pool in blocks;
+// the bucket fill is one sequential counting pass, so every bucket
+// lists its indices in ascending order.
+func partitionByKey[T any](pool *exec.Pool, r *Relation[T], cols []int, parts int) [][]int32 {
 	n := r.Len()
-	nc := len(cols)
-	packed := make([]uint64, n)
 	chunk := make([]uint8, n)
 	nblocks := pool.Workers()
 	if nblocks > parts {
@@ -102,9 +84,7 @@ func partitionByKey[T any](pool *exec.Pool, r *Relation[T], cols []int, parts in
 			hi = n
 		}
 		for i := lo; i < hi; i++ {
-			k := keys.PackCols(r.Tuple(i), cols)
-			packed[i] = k
-			chunk[i] = uint8(keys.Chunk(k, nc, parts))
+			chunk[i] = uint8(keys.Chunk(r.Tuple(i), cols, parts))
 		}
 	})
 	counts := make([]int, parts)
@@ -112,84 +92,30 @@ func partitionByKey[T any](pool *exec.Pool, r *Relation[T], cols []int, parts in
 		counts[c]++
 	}
 	idx := make([][]int32, parts)
-	pkeys := make([][]uint64, parts)
 	for pi := range idx {
 		idx[pi] = make([]int32, 0, counts[pi])
-		pkeys[pi] = make([]uint64, 0, counts[pi])
 	}
 	for i, c := range chunk {
 		idx[c] = append(idx[c], int32(i))
-		pkeys[c] = append(pkeys[c], packed[i])
 	}
-	return idx, pkeys
+	return idx
 }
 
-// joinHashParallel is joinHash partitioned on the shared-column key
-// (1 ≤ len(shared) ≤ keys.MaxPacked). Matching tuples always share a
-// partition, so partitions join independently; outputs concatenate in
-// partition order into one Build.
+// joinHashParallel is joinHash with b indexed per partition on the
+// shared-column key (partitionedIndex) and a probed in contiguous
+// blocks: block outputs concatenate in a's row order — the sequential
+// generation sequence — into one Build.
 func joinHashParallel[T any](s semiring.Semiring[T], a, b *Relation[T], shared []int, parts int) *Relation[T] {
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
 	aCols, _ := columnsOf(a.schema, shared)
 	bCols, _ := columnsOf(b.schema, shared)
-	pool := exec.Default()
-
-	aPart, aKeys := partitionByKey(pool, a, aCols, parts)
-	bPart, bKeys := partitionByKey(pool, b, bCols, parts)
-
-	outRows, outVals := collectChunks[T](parts, len(outSchema), func(pi int) ([]int32, []T) {
-		ai, bi := aPart[pi], bPart[pi]
-		if len(ai) == 0 || len(bi) == 0 {
-			return nil, nil
-		}
-		// Index this partition's b-tuples: intrusive chains over bucket
-		// positions, built back-to-front so chains ascend in b order.
-		head := make(map[uint64]int32, len(bi))
-		next := make([]int32, len(bi))
-		for x := len(bi) - 1; x >= 0; x-- {
-			k := bKeys[pi][x]
-			if h, ok := head[k]; ok {
-				next[x] = h
-			} else {
-				next[x] = -1
-			}
-			head[k] = int32(x)
-		}
-		var rows []int32
-		var vals []T
-		scratch := make([]int32, len(outSchema))
-		for xa, ia := range ai {
-			h, ok := head[aKeys[pi][xa]]
-			if !ok {
-				continue
-			}
-			ta := a.Tuple(int(ia))
-			for x := h; x >= 0; x = next[x] {
-				ib := int(bi[x])
-				v := s.Mul(a.vals[ia], b.vals[ib])
-				if s.IsZero(v) {
-					continue
-				}
-				tb := b.Tuple(ib)
-				for k, sc := range srcs {
-					if sc.fromA {
-						scratch[k] = ta[sc.col]
-					} else {
-						scratch[k] = tb[sc.col]
-					}
-				}
-				rows = append(rows, scratch...)
-				vals = append(vals, v)
-			}
-		}
-		return rows, vals
+	ixs := partitionedIndex(b, bCols, parts)
+	na := a.Len()
+	rows, vals := collectChunks[T](parts, len(outSchema), func(bi int) ([]int32, []T) {
+		return joinProbe(s, a, b, aCols, ixs, srcs, na*bi/parts, na*(bi+1)/parts)
 	})
-
-	bld := NewBuilderHint(s, outSchema, len(outVals))
-	bld.rows = append(bld.rows, outRows...)
-	bld.vals = append(bld.vals, outVals...)
-	return bld.Build()
+	return mergeEmit(s, outSchema, false, rows, vals)
 }
 
 // mergeCuts picks the chunk boundaries of a range-split sorted merge
@@ -282,50 +208,20 @@ func semijoinMergeParallel[T any](a, b *Relation[T], p, parts int) *Relation[T] 
 	return fromSorted(a.schema, rows, vals)
 }
 
-// semijoinHashParallel is semijoinHash partitioned on the shared-column
-// key (1 ≤ len(shared) ≤ keys.MaxPacked): b's key set is built as
-// per-partition sets in parallel, then contiguous blocks of a probe the
-// (read-only) sets and concatenate in block order — exactly the
-// sequential filter's output sequence, since a block's survivors keep
-// a's ascending row order.
+// semijoinHashParallel is semijoinHash with b indexed per partition on
+// the shared-column key (partitionedIndex) and contiguous blocks of a
+// probing the read-only indexes; blocks concatenate in block order —
+// exactly the sequential filter's output sequence, since a block's
+// survivors keep a's ascending row order.
 func semijoinHashParallel[T any](a, b *Relation[T], shared []int, parts int) *Relation[T] {
 	aCols, _ := columnsOf(a.schema, shared)
 	bCols, _ := columnsOf(b.schema, shared)
-	pool := exec.Default()
-	nc := len(shared)
-
-	bPart, bKeys := partitionByKey(pool, b, bCols, parts)
-	sets := make([]map[uint64]struct{}, parts)
-	pool.Map(parts, func(pi int) {
-		if len(bPart[pi]) == 0 {
-			return
-		}
-		m := make(map[uint64]struct{}, len(bPart[pi]))
-		for _, k := range bKeys[pi] {
-			m[k] = struct{}{}
-		}
-		sets[pi] = m
-	})
-
+	ixs := partitionedIndex(b, bCols, parts)
 	na := a.Len()
 	rows, vals := collectChunks[T](parts, len(a.schema), func(bi int) ([]int32, []T) {
-		lo, hi := na*bi/parts, na*(bi+1)/parts
-		var rows []int32
-		var vals []T
-		for i := lo; i < hi; i++ {
-			k := keys.PackCols(a.Tuple(i), aCols)
-			set := sets[keys.Chunk(k, nc, parts)]
-			if set == nil {
-				continue
-			}
-			if _, ok := set[k]; ok {
-				rows = append(rows, a.Tuple(i)...)
-				vals = append(vals, a.vals[i])
-			}
-		}
-		return rows, vals
+		return semijoinProbe(a, aCols, ixs, na*bi/parts, na*(bi+1)/parts)
 	})
-	return &Relation[T]{schema: a.schema, rows: rows, vals: vals}
+	return fromSorted(a.schema, rows, vals)
 }
 
 // prefixCuts picks the chunk boundaries of a range-split contiguous-run
@@ -502,82 +398,26 @@ func mergeSorted[E any](out, a, b []E, cmp func(x, y E) int) {
 	copy(out[k:], b[j:])
 }
 
-// eliminatePackedParallel is EliminateVar's packed grouping pass
-// partitioned on the remaining-column key (1 ≤ len(restCols) ≤
-// keys.MaxPacked). A group's tuples always share a partition, so groups
-// aggregate independently; the final emit sorts the (globally unique)
-// group keys, matching the sequential layout exactly.
-func eliminatePackedParallel[T any](s semiring.Semiring[T], r *Relation[T], rest []int, restCols []int,
+// eliminateGroupParallel is EliminateVar's grouping pass partitioned
+// on the remaining-column key. A group's tuples always share a
+// partition, so partitions group independently (groupRows on the
+// pool); emitGroups then sorts the globally unique group keys, matching
+// the sequential layout exactly.
+func eliminateGroupParallel[T any](s semiring.Semiring[T], r *Relation[T], rest []int, restCols []int,
 	op semiring.Op[T], domSize, parts int) *Relation[T] {
-	p := len(restCols)
 	pool := exec.Default()
-	idxPart, keyPart := partitionByKey(pool, r, restCols, parts)
-
-	type grpOut struct {
-		keys   []uint64
-		vals   []T
-		counts []int32
-	}
-	outs := make([]grpOut, parts)
-	pool.Map(parts, func(pi int) {
-		idx := idxPart[pi]
-		if len(idx) == 0 {
-			return
-		}
-		groupOf := make(map[uint64]int32, len(idx))
-		var gkeys []uint64
-		var gvals []T
-		var gcounts []int32
-		for x, i := range idx {
-			k := keyPart[pi][x]
-			g, ok := groupOf[k]
-			if !ok {
-				g = int32(len(gkeys))
-				groupOf[k] = g
-				gkeys = append(gkeys, k)
-				gvals = append(gvals, op.Identity())
-				gcounts = append(gcounts, 0)
-			}
-			gvals[g] = op.Combine(gvals[g], r.vals[i])
-			gcounts[g]++
-		}
-		outs[pi] = grpOut{gkeys, gvals, gcounts}
-	})
-
+	idx := partitionByKey(pool, r, restCols, parts)
+	outs := make([]groups[T], parts)
+	pool.Map(parts, func(pi int) { outs[pi] = groupRows(r, restCols, idx[pi], op) })
 	ng := 0
 	for _, o := range outs {
-		ng += len(o.keys)
+		ng += len(o.first)
 	}
-	gkeys := make([]uint64, 0, ng)
-	gvals := make([]T, 0, ng)
-	gcounts := make([]int32, 0, ng)
+	all := groups[T]{make([]int32, 0, ng), make([]T, 0, ng), make([]int32, 0, ng)}
 	for _, o := range outs {
-		gkeys = append(gkeys, o.keys...)
-		gvals = append(gvals, o.vals...)
-		gcounts = append(gcounts, o.counts...)
+		all.first = append(all.first, o.first...)
+		all.vals = append(all.vals, o.vals...)
+		all.counts = append(all.counts, o.counts...)
 	}
-	order := make([]int32, ng)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortByKey(order, gkeys)
-	rows := make([]int32, 0, ng*p)
-	vals := make([]T, 0, ng)
-	for _, g := range order {
-		if op.IsProduct() && int(gcounts[g]) < domSize {
-			continue // an unlisted zero annihilates the product aggregate
-		}
-		if s.IsZero(gvals[g]) {
-			continue
-		}
-		switch p {
-		case 1:
-			rows = append(rows, keys.Unpack1(gkeys[g]))
-		case 2:
-			x, y := keys.Unpack2(gkeys[g])
-			rows = append(rows, x, y)
-		}
-		vals = append(vals, gvals[g])
-	}
-	return fromSorted(rest, rows, vals)
+	return emitGroups(s, r, rest, restCols, op, domSize, all)
 }

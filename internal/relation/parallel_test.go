@@ -22,14 +22,19 @@ func bitIdentical[T comparable](a, b *Relation[T]) bool {
 }
 
 // nonPrefixPairs are the schema shapes that dispatch to the hash join
-// (1 ≤ shared ≤ keys.MaxPacked), the only shapes the partitioned join
-// serves.
+// (shared variables not a prefix of both operands), the shapes the
+// partitioned join serves — from one shared column up to keys wider
+// than one packed word (3 and 4 shared columns).
 var nonPrefixPairs = [][2][]int{
 	{{0, 1}, {1, 2}},
 	{{1, 2}, {0, 2}},
 	{{0, 1, 2}, {2}},
 	{{0, 2}, {1, 2}},
 	{{0, 1, 3}, {2, 3}},
+	{{0, 1, 2, 3}, {1, 2, 3, 4}},
+	{{1, 2, 3, 5}, {0, 1, 2, 3}},
+	{{0, 1, 2, 3, 4}, {1, 2, 3, 4, 5}},
+	{{0, 2, 4, 6}, {1, 2, 4, 6, 7}},
 }
 
 func checkJoinParallelIdentical[T comparable](t *testing.T, s semiring.Semiring[T], val func(*rand.Rand) T, seed int64) {
@@ -102,7 +107,10 @@ func TestEliminateVarParallelBitIdentical(t *testing.T) {
 	mul := semiring.MulOf[float64](s)
 	r := rand.New(rand.NewSource(206))
 	for trial := 0; trial < 20; trial++ {
-		rel := randRelT[float64](s, r, []int{0, 1, 2}, 30+r.Intn(120), 2+r.Intn(3),
+		// Arity 3, 4 and 5 leave 2, 3 and 4 remaining columns: one packed
+		// word and the keys wider than it.
+		schema := []int{0, 1, 2, 3, 4}[:3+trial%3]
+		rel := randRelT[float64](s, r, schema, 30+r.Intn(120), 2+r.Intn(3),
 			func(r *rand.Rand) float64 { return r.Float64() })
 		for _, v := range []int{0, 1} { // vcol < arity-1: the grouping pass
 			rest := hypergraph.DiffSorted(rel.Schema(), []int{v})
@@ -117,10 +125,10 @@ func TestEliminateVarParallelBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, parts := range []int{2, 3, 7} {
-						got := eliminatePackedParallel(s, rel, rest, restCols, op, domSize, parts)
+						got := eliminateGroupParallel(s, rel, rest, restCols, op, domSize, parts)
 						if !bitIdentical(got, want) {
-							t.Fatalf("trial %d v=%d parts=%d product=%v dom=%d: not bit-identical",
-								trial, v, parts, op.IsProduct(), domSize)
+							t.Fatalf("trial %d arity=%d v=%d parts=%d product=%v dom=%d: not bit-identical",
+								trial, len(schema), v, parts, op.IsProduct(), domSize)
 						}
 					}
 				}

@@ -14,12 +14,13 @@
 // []int32 row buffer, and every operator exploits the sorted invariant
 // instead of re-deriving it through hash maps.
 //
-//   - Tuple identity on ≤ 2 columns uses order-preserving uint64 packed
-//     keys (internal/keys) — no string keys, no per-tuple allocation.
-//     Wider key sets fall back to raw-row comparison or string keys.
+//   - Tuple identity at every key width goes through one scheme
+//     (internal/keys): keys.Hash chains rows in a HashIndex — the exact
+//     order-preserving packed word up to 2 columns, a mixed word with
+//     column-verified hits beyond — with no per-tuple allocation.
 //   - Join and Semijoin run a galloping sorted-merge whenever the shared
 //     variables are a schema prefix of both operands (always true for
-//     same-key star reductions); otherwise a packed-key hash join.
+//     same-key star reductions); otherwise a HashIndex probe.
 //   - Project and EliminateVar detect when the group-by columns are a
 //     schema prefix (projections onto leading variables, elimination of
 //     the innermost variable) and reduce contiguous runs in one linear
@@ -29,6 +30,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -455,104 +457,102 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 	}
 
 	restCols, _ := columnsOf(r.schema, rest)
-	if p <= keys.MaxPacked {
-		if parts := parallelParts(n); parts > 1 && p >= 1 {
-			return eliminatePackedParallel(s, r, rest, restCols, op, domSize, parts), nil
-		}
-		divN := 0
-		if p >= 1 {
-			divN = n // eliminatePackedParallel is the partitioned twin
-		}
-		var out *Relation[T]
-		markDivisible(divN, func() {
-			// Group on a packed key; packed order is lexicographic order,
-			// so sorting the groups by key yields the output layout
-			// directly.
-			groupOf := make(map[uint64]int32, n)
-			var gkeys []uint64
-			var gvals []T
-			var gcounts []int32
-			for i := 0; i < n; i++ {
-				k := keys.PackCols(r.Tuple(i), restCols)
-				g, ok := groupOf[k]
-				if !ok {
-					g = int32(len(gkeys))
-					groupOf[k] = g
-					gkeys = append(gkeys, k)
-					gvals = append(gvals, op.Identity())
-					gcounts = append(gcounts, 0)
-				}
-				gvals[g] = op.Combine(gvals[g], r.vals[i])
-				gcounts[g]++
-			}
-			order := make([]int32, len(gkeys))
-			for i := range order {
-				order[i] = int32(i)
-			}
-			sortByKey(order, gkeys)
-			rows := make([]int32, 0, len(gkeys)*p)
-			vals := make([]T, 0, len(gkeys))
-			for _, g := range order {
-				if op.IsProduct() && int(gcounts[g]) < domSize {
-					continue // an unlisted zero annihilates the product aggregate
-				}
-				if s.IsZero(gvals[g]) {
-					continue
-				}
-				switch p {
-				case 1:
-					rows = append(rows, keys.Unpack1(gkeys[g]))
-				case 2:
-					x, y := keys.Unpack2(gkeys[g])
-					rows = append(rows, x, y)
-				}
-				vals = append(vals, gvals[g])
-			}
-			out = fromSorted(rest, rows, vals)
-		})
-		return out, nil
+	if parts := parallelParts(n); parts > 1 {
+		return eliminateGroupParallel(s, r, rest, restCols, op, domSize, parts), nil
 	}
+	var out *Relation[T]
+	markDivisible(n, func() { // eliminateGroupParallel is the partitioned twin
+		out = emitGroups(s, r, rest, restCols, op, domSize, groupRows(r, restCols, nil, op))
+	})
+	return out, nil
+}
 
-	// Arbitrary-arity fallback (> MaxPacked remaining columns): string
-	// keys off the hot path.
-	type group struct {
-		val   T
-		count int
+// groups is the output of one grouping pass: per group (in order of
+// first appearance), the row that opened it, the op-fold of its
+// values, and its tuple count.
+type groups[T any] struct {
+	first  []int32
+	vals   []T
+	counts []int32
+}
+
+// groupRows folds the listed rows of r (every row when idx is nil) into
+// groups of equal key columns cols, combining each group's values with
+// op in ascending row order. Groups are found through a HashIndex over
+// their first rows, so a hash collision never merges two keys. It is
+// the one group-by of EliminateVar, sequential and partitioned.
+func groupRows[T any](r *Relation[T], cols []int, idx []int32, op semiring.Op[T]) groups[T] {
+	n := r.Len()
+	if idx != nil {
+		n = len(idx)
 	}
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	groups := make(map[string]*group, n)
-	var order []string
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	reps := make(map[string][]int32, n)
-	for i := 0; i < n; i++ {
+	// Chain id k is group k; ids (non-nil) maps it to the group's first
+	// row, the row every candidate is verified against.
+	ix := &HashIndex{cols: cols, arity: len(r.schema), rows: r.rows, ids: []int32{}, tab: keys.NewTable(n)}
+	var g groups[T]
+	for x := 0; x < n; x++ {
+		i := x
+		if idx != nil {
+			i = int(idx[x])
+		}
 		t := r.Tuple(i)
-		k := keys.EncodeCols(t, restCols)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{val: op.Identity()}
-			groups[k] = g
-			order = append(order, k)
-			rep := make([]int32, p)
-			for j, c := range restCols {
-				rep[j] = t[c]
-			}
-			reps[k] = rep
+		h := keys.Hash(t, cols)
+		k := ix.match(ix.tab.First(h), t, cols)
+		if k < 0 {
+			k = ix.tab.Add(h)
+			ix.ids = append(ix.ids, int32(i))
+			g.vals = append(g.vals, op.Identity())
+			g.counts = append(g.counts, 0)
 		}
-		g.val = op.Combine(g.val, r.vals[i])
-		g.count++
+		g.vals[k] = op.Combine(g.vals[k], r.vals[i])
+		g.counts[k]++
 	}
-	b := NewBuilderHint(s, rest, len(order))
-	for _, k := range order {
-		g := groups[k]
-		if op.IsProduct() && g.count < domSize {
+	g.first = ix.ids
+	return g
+}
+
+// emitGroups sorts groups lexicographically by their key columns and
+// emits the survivors as the relation over rest: a product aggregate's
+// group needs domSize listed tuples (an unlisted zero annihilates it),
+// and ⊕-zero folds are dropped. The sort compares the order-preserving
+// packed word of the leading ≤ keys.MaxPacked key columns first, then
+// any further columns.
+func emitGroups[T any](s semiring.Semiring[T], r *Relation[T], rest []int, cols []int,
+	op semiring.Op[T], domSize int, g groups[T]) *Relation[T] {
+	p := len(cols)
+	lead := min(p, keys.MaxPacked)
+	type groupKey struct {
+		lead uint64
+		g    int32
+	}
+	keyRows := make([]int32, 0, len(g.first)*p)
+	order := make([]groupKey, len(g.first))
+	for k, i := range g.first {
+		t := r.Tuple(int(i))
+		for _, c := range cols {
+			keyRows = append(keyRows, t[c])
+		}
+		order[k] = groupKey{keys.PackCols(keyRows[k*p:k*p+lead], nil), int32(k)}
+	}
+	slices.SortFunc(order, func(x, y groupKey) int {
+		if c := cmp.Compare(x.lead, y.lead); c != 0 {
+			return c
+		}
+		return compareShared(keyRows[int(x.g)*p+lead:], keyRows[int(y.g)*p+lead:], p-lead)
+	})
+	rows := make([]int32, 0, len(order)*p)
+	vals := make([]T, 0, len(order))
+	for _, o := range order {
+		if op.IsProduct() && int(g.counts[o.g]) < domSize {
 			continue
 		}
-		if s.IsZero(g.val) {
+		if s.IsZero(g.vals[o.g]) {
 			continue
 		}
-		b.AddRow(reps[k], g.val)
+		rows = append(rows, keyRows[int(o.g)*p:int(o.g)*p+p]...)
+		vals = append(vals, g.vals[o.g])
 	}
-	return b.Build(), nil
+	return fromSorted(rest, rows, vals)
 }
 
 // Equal reports whether two relations have the same schema and the same

@@ -3,9 +3,9 @@
 //
 // Placement is deterministic hash partitioning on a subset of each
 // relation's columns (the star's join key): every row goes to
-// hash(row[key]) mod W, computed with the same FNV chunking the netsim
-// protocols use (internal/keys), so packed and string key codecs agree
-// on placement and a re-run reproduces the same sharding exactly. An
+// hash(row[key]) mod W, computed with keys.Chunk — the same FNV chunking
+// the netsim protocols and the partitioned kernels use, at any key
+// width — so a re-run reproduces the same sharding exactly. An
 // empty key hashes every row to worker 0 — the correct (if
 // unparallelized) fallback when a star has no common join columns.
 //
@@ -44,13 +44,10 @@ func Positions(schema, vs []int) ([]int, error) {
 // Assign returns the worker index for a tuple given the key column
 // positions. An empty key assigns every tuple to worker 0.
 func Assign(t []int32, cols []int, workers int) int {
-	if workers <= 1 || len(cols) == 0 {
+	if len(cols) == 0 {
 		return 0
 	}
-	if len(cols) <= keys.MaxPacked {
-		return keys.Chunk(keys.PackCols(t, cols), len(cols), workers)
-	}
-	return keys.ChunkString(keys.EncodeCols(t, cols), workers)
+	return keys.Chunk(t, cols, workers)
 }
 
 // Split hash-partitions r into workers shards on the key variables.

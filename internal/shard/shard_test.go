@@ -156,3 +156,68 @@ func TestFloatCodecExactBits(t *testing.T) {
 		}
 	}
 }
+
+// assignGolden pins Assign(tuple, cols, workers) at 2, 3 and 8 workers
+// for 1–4 key columns, so shard placement — and with it the cluster's
+// per-worker wire-byte accounting — cannot drift.
+var assignGolden = []struct {
+	tuple []int32
+	cols  []int
+	want  [3]int // workers = 2, 3, 8
+}{
+	{[]int32{0, 0, 0, 0}, []int{0}, [3]int{1, 1, 5}},
+	{[]int32{0, 0, 0, 0}, []int{2}, [3]int{1, 1, 5}},
+	{[]int32{0, 0, 0, 0}, []int{0, 1}, [3]int{1, 0, 5}},
+	{[]int32{0, 0, 0, 0}, []int{3, 1}, [3]int{1, 0, 5}},
+	{[]int32{0, 0, 0, 0}, []int{0, 1, 2}, [3]int{1, 1, 5}},
+	{[]int32{0, 0, 0, 0}, []int{3, 1, 0}, [3]int{1, 1, 5}},
+	{[]int32{0, 0, 0, 0}, []int{0, 1, 2, 3}, [3]int{1, 0, 5}},
+	{[]int32{1, 2, 3, 4}, []int{0}, [3]int{0, 2, 2}},
+	{[]int32{1, 2, 3, 4}, []int{2}, [3]int{0, 1, 4}},
+	{[]int32{1, 2, 3, 4}, []int{0, 1}, [3]int{0, 0, 4}},
+	{[]int32{1, 2, 3, 4}, []int{3, 1}, [3]int{1, 1, 3}},
+	{[]int32{1, 2, 3, 4}, []int{0, 1, 2}, [3]int{1, 0, 5}},
+	{[]int32{1, 2, 3, 4}, []int{3, 1, 0}, [3]int{0, 2, 0}},
+	{[]int32{1, 2, 3, 4}, []int{0, 1, 2, 3}, [3]int{1, 1, 1}},
+	{[]int32{7, -1, 42, 1073741824}, []int{0}, [3]int{0, 2, 0}},
+	{[]int32{7, -1, 42, 1073741824}, []int{2}, [3]int{1, 0, 7}},
+	{[]int32{7, -1, 42, 1073741824}, []int{0, 1}, [3]int{0, 1, 4}},
+	{[]int32{7, -1, 42, 1073741824}, []int{3, 1}, [3]int{1, 2, 1}},
+	{[]int32{7, -1, 42, 1073741824}, []int{0, 1, 2}, [3]int{0, 2, 2}},
+	{[]int32{7, -1, 42, 1073741824}, []int{3, 1, 0}, [3]int{0, 1, 4}},
+	{[]int32{7, -1, 42, 1073741824}, []int{0, 1, 2, 3}, [3]int{0, 2, 2}},
+	{[]int32{46, 45, 44, 43}, []int{0}, [3]int{1, 1, 3}},
+	{[]int32{46, 45, 44, 43}, []int{2}, [3]int{1, 2, 1}},
+	{[]int32{46, 45, 44, 43}, []int{0, 1}, [3]int{0, 0, 4}},
+	{[]int32{46, 45, 44, 43}, []int{3, 1}, [3]int{1, 1, 3}},
+	{[]int32{46, 45, 44, 43}, []int{0, 1, 2}, [3]int{0, 1, 0}},
+	{[]int32{46, 45, 44, 43}, []int{3, 1, 0}, [3]int{1, 0, 5}},
+	{[]int32{46, 45, 44, 43}, []int{0, 1, 2, 3}, [3]int{1, 0, 1}},
+	{[]int32{-7, 100000, 3, 12}, []int{0}, [3]int{1, 1, 7}},
+	{[]int32{-7, 100000, 3, 12}, []int{2}, [3]int{0, 1, 4}},
+	{[]int32{-7, 100000, 3, 12}, []int{0, 1}, [3]int{0, 1, 2}},
+	{[]int32{-7, 100000, 3, 12}, []int{3, 1}, [3]int{0, 2, 0}},
+	{[]int32{-7, 100000, 3, 12}, []int{0, 1, 2}, [3]int{1, 1, 7}},
+	{[]int32{-7, 100000, 3, 12}, []int{3, 1, 0}, [3]int{0, 2, 6}},
+	{[]int32{-7, 100000, 3, 12}, []int{0, 1, 2, 3}, [3]int{1, 2, 3}},
+	{[]int32{5, 5, 5, 5}, []int{0}, [3]int{0, 0, 6}},
+	{[]int32{5, 5, 5, 5}, []int{2}, [3]int{0, 0, 6}},
+	{[]int32{5, 5, 5, 5}, []int{0, 1}, [3]int{1, 1, 5}},
+	{[]int32{5, 5, 5, 5}, []int{3, 1}, [3]int{1, 1, 5}},
+	{[]int32{5, 5, 5, 5}, []int{0, 1, 2}, [3]int{0, 0, 6}},
+	{[]int32{5, 5, 5, 5}, []int{3, 1, 0}, [3]int{0, 0, 6}},
+	{[]int32{5, 5, 5, 5}, []int{0, 1, 2, 3}, [3]int{1, 2, 5}},
+}
+
+func TestAssignGolden(t *testing.T) {
+	for _, g := range assignGolden {
+		for i, workers := range []int{2, 3, 8} {
+			if got := Assign(g.tuple, g.cols, workers); got != g.want[i] {
+				t.Errorf("Assign(%v, %v, %d) = %d, want %d", g.tuple, g.cols, workers, got, g.want[i])
+			}
+		}
+	}
+	if Assign([]int32{1, 2}, nil, 8) != 0 || Assign([]int32{1, 2}, []int{0}, 1) != 0 {
+		t.Error("an empty key or a single worker must place every tuple on worker 0")
+	}
+}
